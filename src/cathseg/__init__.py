@@ -2,11 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .bezier import bezier_eval, fit_bezier, sample_curve
+from .bezier import bezier_eval, fit_bezier, resample_polyline, sample_curve
 from .engine import (EstimateResult, LocalFrame, SegmentationConfig, Trajectory,
                      estimate_model, gate_candidate, load_trajectory,
                      make_local_frame, propose_model_point, save_trajectory,
-                     segment_catheter)
+                     segment_batch, segment_catheter, walk)
 from .evaluation import (CatheterScore, ExperimentReport, hausdorff,
                          run_experiments, write_scores_csv, write_summary_json)
 from .features import ConeSpec, FeatureMask, cone_search, line_score

@@ -123,3 +123,15 @@ def sample_curve(control: np.ndarray, step: float, oversample: int = 4) -> np.nd
     targets = np.linspace(0.0, total, n_out)
     t_out = np.interp(targets, arc, t_dense)
     return bezier_eval(control, t_out)
+
+
+def resample_polyline(poly, step: float, min_points: int = 2) -> np.ndarray:
+    """Resample a polyline at equal arc-length spacing <= step, with at
+    least ``min_points`` samples; the endpoints are kept exactly."""
+    poly = np.asarray(poly, dtype=float)
+    seg = np.linalg.norm(np.diff(poly, axis=0), axis=1)
+    arc = np.concatenate([[0.0], np.cumsum(seg)])
+    n = max(min_points, int(np.ceil(arc[-1] / step)) + 1)
+    t = np.linspace(0.0, arc[-1], n)
+    return np.stack([np.interp(t, arc, poly[:, c]) for c in range(poly.shape[1])],
+                    axis=1)

@@ -17,19 +17,18 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .engine import SegmentationConfig, Trajectory, load_trajectory, \
-    save_trajectory, segment_catheter
+from .engine import SegmentationConfig, load_trajectory, save_trajectory, \
+    segment_batch
 from .evaluation import ExperimentReport, score_catheter, write_scores_csv, \
     write_summary_json, write_overlay_json
-from .features import FeatureMask
 from .phantom import generate_phantom, load_phantom_spec
-from .spring import SpringModelParams, build_model_table, export_table_csv, \
-    find_max_force, simulate_forward
+from .spring import SpringModelParams, export_table_csv, simulate_forward
 from .volume import TruncatedVolumeError, VolumeFormatError, load_seeds, \
     load_volume, save_seeds, save_volume
 
@@ -38,60 +37,40 @@ EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_PARTIAL = 4
 
-_CONFIG_DEFAULTS = {
-    "n_c": 8,
-    "d_tol": 1.0,
-    "r_cone": 20.0,
-    "n_rays": 600,
-    "ray_step": None,
-    "ring_radius": 1.6,
-    "n_ring_samples": 8,
-    "k_a": 2050.0,
-    "n_seg": 20,
-    "total_length": 187.0,
-    "table_f_samples": 200,
-    "table_resolution": 100,
-    "eq4_literal": False,
-}
+def config_to_dict(config) -> dict:
+    """Flat JSON form of a config: the fields of SegmentationConfig with the
+    fields of its nested dataclasses (mask, model) inlined, and "inf" for an
+    infinite d_tol."""
+    doc = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            doc.update(config_to_dict(value))
+        else:
+            doc[f.name] = "inf" if value == math.inf else value
+    return doc
 
 
 def config_from_dict(doc: dict) -> SegmentationConfig:
-    merged = {**_CONFIG_DEFAULTS, **doc}
-    unknown = set(doc) - set(_CONFIG_DEFAULTS)
+    """Inverse of ``config_to_dict``; missing fields keep their defaults."""
+    default = SegmentationConfig()
+    unknown = set(doc) - set(config_to_dict(default))
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    d_tol = merged["d_tol"]
-    if isinstance(d_tol, str):
-        d_tol = math.inf if d_tol == "inf" else float(d_tol)
-    return SegmentationConfig(
-        n_c=int(merged["n_c"]), d_tol=float(d_tol), r_cone=float(merged["r_cone"]),
-        mask=FeatureMask(ring_radius=float(merged["ring_radius"]),
-                         n_ring_samples=int(merged["n_ring_samples"])),
-        n_rays=int(merged["n_rays"]),
-        ray_step=None if merged["ray_step"] is None else float(merged["ray_step"]),
-        model=SpringModelParams(k_a=float(merged["k_a"]), n_seg=int(merged["n_seg"]),
-                                total_length=float(merged["total_length"])),
-        table_f_samples=int(merged["table_f_samples"]),
-        table_resolution=int(merged["table_resolution"]),
-        eq4_literal=bool(merged["eq4_literal"]))
+    return _override(default, doc)
 
 
-def config_to_dict(config: SegmentationConfig) -> dict:
-    return {
-        "n_c": config.n_c,
-        "d_tol": "inf" if math.isinf(config.d_tol) else config.d_tol,
-        "r_cone": config.r_cone,
-        "n_rays": config.n_rays,
-        "ray_step": config.ray_step,
-        "ring_radius": config.mask.ring_radius,
-        "n_ring_samples": config.mask.n_ring_samples,
-        "k_a": config.model.k_a,
-        "n_seg": config.model.n_seg,
-        "total_length": config.model.total_length,
-        "table_f_samples": config.table_f_samples,
-        "table_resolution": config.table_resolution,
-        "eq4_literal": config.eq4_literal,
-    }
+def _override(config, doc: dict):
+    changes = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            changes[f.name] = _override(value, doc)
+        elif f.name in doc:
+            # values take the type of the default: "inf" -> float, 8.0 -> int
+            new = doc[f.name]
+            changes[f.name] = new if value is None or new is None else type(value)(new)
+    return replace(config, **changes)
 
 
 def _write_manifest(out_dir: Path, command: str, argv, config: dict | None,
@@ -109,15 +88,15 @@ def _write_manifest(out_dir: Path, command: str, argv, config: dict | None,
 
 
 def _load_config_arg(args) -> SegmentationConfig:
+    """Config file plus command-line overrides, validated as one config."""
     doc = {}
     if args.config:
         doc = json.loads(Path(args.config).read_text())
-    config = config_from_dict(doc)
     if getattr(args, "dtol", None) is not None:
-        config.d_tol = math.inf if args.dtol == "inf" else float(args.dtol)
+        doc["d_tol"] = args.dtol
     if getattr(args, "eq4_literal", False):
-        config.eq4_literal = True
-    return config
+        doc["eq4_literal"] = True
+    return config_from_dict(doc)
 
 
 def cmd_simulate(args, argv) -> int:
@@ -125,8 +104,7 @@ def cmd_simulate(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     config = _load_config_arg(args)
     t0 = time.perf_counter()
-    table = build_model_table(config.model, config.table_f_samples,
-                              config.table_resolution)
+    table = config.ensure_table()
     export_table_csv(table, out / "model_table.csv")
 
     f_max = table.f_max
@@ -152,8 +130,8 @@ def cmd_phantom(args, argv) -> int:
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"phantom spec error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    model = SpringModelParams(k_a=args.k_a, n_seg=args.n_seg,
-                              total_length=args.total_length)
+    model = SpringModelParams(**{f.name: getattr(args, f.name)
+                                 for f in fields(SpringModelParams)})
     t0 = time.perf_counter()
     vol, gold, seeds = generate_phantom(spec, model)
     save_volume(vol, out / "volume.nrrd")
@@ -164,14 +142,6 @@ def cmd_phantom(args, argv) -> int:
                     {"spec": str(args.spec)}, {"rng_seed": spec.rng_seed},
                     {"total": time.perf_counter() - t0})
     return EXIT_OK
-
-
-def _segment_task(task):
-    vol, tip, plane, config = task
-    try:
-        return ("ok", segment_catheter(vol, tip, plane, config))
-    except Exception as exc:
-        return ("err", f"{type(exc).__name__}: {exc}")
 
 
 def cmd_segment(args, argv) -> int:
@@ -187,35 +157,17 @@ def cmd_segment(args, argv) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 
-    config.ensure_table()
-    tasks = [(vol, tip, seeds.plane, config) for tip in seeds.tips]
+    # one task per tip, so that --jobs spreads the catheters over workers
+    tasks = [(vol, seeds.plane, [tip], (config.d_tol,)) for tip in seeds.tips]
     wall = {}
-    failures = []
-    results: list = [None] * len(tasks)
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        t0 = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_segment_task, tasks, chunksize=1))
-        elapsed = time.perf_counter() - t0
-        for i in range(len(tasks)):
-            wall[f"catheter_{i:02d}"] = elapsed / len(tasks)
-    else:
-        outcomes = []
-        for i, task in enumerate(tasks):
-            t0 = time.perf_counter()
-            outcomes.append(_segment_task(task))
-            wall[f"catheter_{i:02d}"] = time.perf_counter() - t0
-    for i, (status, payload) in enumerate(outcomes):
-        if status == "ok":
-            results[i] = payload
+    failures = 0
+    for i, [([outcome], seconds)] in enumerate(segment_batch(tasks, config, args.jobs)):
+        wall[f"catheter_{i:02d}"] = seconds
+        if isinstance(outcome, str):
+            failures += 1
+            print(f"catheter {i:02d} failed: {outcome}", file=sys.stderr)
         else:
-            failures.append((i, payload))
-            print(f"catheter {i:02d} failed: {payload}", file=sys.stderr)
-
-    for i, traj in enumerate(results):
-        if traj is not None:
-            save_trajectory(traj, out / f"trajectory_{i:02d}.json")
+            save_trajectory(outcome, out / f"trajectory_{i:02d}.json")
     _write_manifest(out, "segment", argv, config_to_dict(config),
                     {"volume": str(args.volume), "seeds": str(args.seeds)},
                     {}, wall)
@@ -275,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ph = sub.add_parser("phantom", help="generate a synthetic volume")
     p_ph.add_argument("--spec", required=True, help="phantom spec JSON")
-    p_ph.add_argument("--k-a", type=float, default=2050.0)
-    p_ph.add_argument("--n-seg", type=int, default=20)
-    p_ph.add_argument("--total-length", type=float, default=187.0)
+    for f in fields(SpringModelParams):      # --k-a, --n-seg, --total-length
+        p_ph.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                          default=f.default)
     p_ph.add_argument("--out-dir", required=True)
 
     p_seg = sub.add_parser("segment", help="segment catheters from seeds")

@@ -1,25 +1,28 @@
 """Model-guided catheter segmentation.
 
-The walk starts at a given distal tip, estimates the bending model from one
-long initialization cone, then alternates short model-proposed steps with
-cone searches, gating each image candidate against the model proposal.  The
-accepted points are finally approximated by a Bezier curve.
+``estimate_model`` fits the bending model to one long initialization cone
+from the distal tip; ``walk`` then alternates short model-proposed steps
+with cone searches, gates each image candidate against the model proposal
+with ``d_tol`` and fits a Bezier curve to the accepted points.  The batch
+runner estimates each catheter once and walks it once per ``d_tol``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import multiprocessing
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .bezier import fit_bezier
-from .features import ConeSpec, FeatureMask, cone_search, cone_search_with_stats, \
-    default_ray_step
+from .bezier import fit_bezier, resample_polyline
+from .features import ConeSpec, FeatureMask, cone_search, default_ray_step
 from .spring import ModelTable, SingularConfigurationError, SpringModelParams, \
-    build_model_table, lookup, simulate_backward
+    lookup, shared_model_table, simulate_backward
 from .volume import BasePlane, Volume3D, distance_to_plane
 
 _PARALLEL_EPS = 1e-6
@@ -31,9 +34,10 @@ TAG_MODEL = "model"
 TAG_COMPROMISE = "compromise"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegmentationConfig:
-    """All tunables of the segmentation engine."""
+    """All tunables of the segmentation engine; derive variants with
+    ``dataclasses.replace``."""
 
     n_c: int = 8                  # control / cone count
     d_tol: float = 1.0            # mm; 0 = model only, inf = image only
@@ -42,7 +46,6 @@ class SegmentationConfig:
     n_rays: int = 600
     ray_step: float | None = None  # mm; None = half the smallest voxel spacing
     model: SpringModelParams = field(default_factory=SpringModelParams)
-    table: ModelTable | None = None
     table_f_samples: int = 200
     table_resolution: int = 100
     eq4_literal: bool = False
@@ -50,16 +53,14 @@ class SegmentationConfig:
     def __post_init__(self):
         if self.n_c < 3:
             raise ValueError("n_c must be at least 3")
-        if self.d_tol < 0:
+        if not self.d_tol >= 0:
             raise ValueError("d_tol must be non-negative")
         if self.r_cone <= 0:
             raise ValueError("r_cone must be positive")
 
     def ensure_table(self) -> ModelTable:
-        if self.table is None:
-            self.table = build_model_table(self.model, self.table_f_samples,
-                                           self.table_resolution)
-        return self.table
+        return shared_model_table(self.model, self.table_f_samples,
+                                  self.table_resolution)
 
 
 @dataclass
@@ -199,7 +200,10 @@ def estimate_model(vol: Volume3D, tip, plane: BasePlane,
     base = tip - (a / 2.0) * plane.normal
     cone = ConeSpec(apex=tuple(tip), base_center=tuple(base),
                     base_radius=config.r_cone, n_rays=config.n_rays)
-    m_point, best_score, contrast = cone_search_with_stats(vol, cone, config.mask, step)
+    m_point, best_score, samples = cone_search(vol, cone, config.mask, step)
+    # local contrast: median minus 1st percentile of the sampled center
+    # intensities, without touching voxels outside the cone region
+    contrast = float(np.median(samples) - np.percentile(samples, 1))
     used_fallback = best_score >= -_INIT_MARGIN * contrast
     if used_fallback:
         l_long = -(a / 2.0) * plane.normal
@@ -254,8 +258,14 @@ def _angle_profile(model: SpringModelParams, alpha0_sum: float, f0_est: float,
 def segment_catheter(vol: Volume3D, tip, plane: BasePlane,
                      config: SegmentationConfig) -> Trajectory:
     """Segment one catheter from its distal tip to the base plane."""
+    return walk(vol, tip, plane, config, estimate_model(vol, tip, plane, config))
+
+
+def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
+         est: EstimateResult) -> Trajectory:
+    """Guided walk from the tip to the base plane under the estimate ``est``
+    of this catheter, then the Bezier fit of the accepted points."""
     tip = np.asarray(tip, dtype=float)
-    est = estimate_model(vol, tip, plane, config)
     step = config.ray_step if config.ray_step is not None else default_ray_step(vol)
     warnings = list(est.warnings)
 
@@ -287,7 +297,7 @@ def segment_catheter(vol: Volume3D, tip, plane: BasePlane,
             return b_mod
         cone = ConeSpec(apex=tuple(apex), base_center=tuple(b_mod),
                         base_radius=config.r_cone, n_rays=config.n_rays)
-        c_img, _ = cone_search(vol, cone, config.mask, step)
+        c_img, _, _ = cone_search(vol, cone, config.mask, step)
         return c_img
 
     def accept(t_k: np.ndarray, candidate: np.ndarray, b_mod: np.ndarray) -> bool:
@@ -298,12 +308,9 @@ def segment_catheter(vol: Volume3D, tip, plane: BasePlane,
             d_k = distance_to_plane(plane, t_k)
             tau = d_k / (d_k - dist) if d_k != dist else 1.0
             accepted = t_k + tau * (accepted - t_k)
-            points.append(accepted)
-            tags.append(tag)
-            return False
         points.append(accepted)
         tags.append(tag)
-        return True
+        return bool(dist > 0)
 
     # first iteration: step along the estimated long segment, no model angle yet
     b0 = tip + d_seg * u_long
@@ -322,15 +329,52 @@ def segment_catheter(vol: Volume3D, tip, plane: BasePlane,
     # fit against the densified polyline: a square interpolating fit through
     # the raw points would amplify their sub-voxel jitter near the curve ends;
     # a short refinement budget suffices for smoothing fits
-    control = fit_bezier(_densify(pts, max(d_seg / 8.0, 0.5)),
+    control = fit_bezier(resample_polyline(pts, max(d_seg / 8.0, 0.5), len(pts)),
                          min(config.n_c, len(pts)), max_iter=15)
     return Trajectory(points=pts, bezier_control=control, provenance=tags,
                       estimates=est.as_dict(), warnings=warnings)
 
 
-def _densify(poly: np.ndarray, step: float) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(poly, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    n = max(len(poly), int(np.ceil(arc[-1] / step)) + 1)
-    t = np.linspace(0.0, arc[-1], n)
-    return np.stack([np.interp(t, arc, poly[:, c]) for c in range(3)], axis=1)
+def segment_batch(tasks, config: SegmentationConfig, jobs: int = 1) -> list:
+    """Segment the tips of (volume, plane, tips, d_tols) tasks.
+
+    Each tip is estimated once and walked once per d_tol.  Returns per task
+    one (outcomes, seconds) pair per tip: for each d_tol a Trajectory or the
+    error text, and the tip's seconds measured inside its worker.  Failures
+    never abort the batch, and results keep the input order for any
+    ``jobs``; each task's volume is pickled once when ``jobs > 1``.
+    """
+    config.ensure_table()
+    work = [(task, config) for task in tasks]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(_run_task, work, chunksize=1))
+    return [_run_task(w) for w in work]
+
+
+def _run_task(work) -> list:
+    """One task in one worker; module level so that the pool can pickle it."""
+    (vol, plane, tips, d_tols), config = work
+    results = []
+    for tip in tips:
+        t0 = time.perf_counter()
+        outcomes = []
+        try:
+            est = estimate_model(vol, tip, plane, config)
+        except Exception as exc:
+            outcomes = [error_text(exc)] * len(d_tols)
+        else:
+            for d_tol in d_tols:
+                try:
+                    outcomes.append(walk(vol, tip, plane,
+                                         replace(config, d_tol=d_tol), est))
+                except Exception as exc:
+                    outcomes.append(error_text(exc))
+        results.append((outcomes, time.perf_counter() - t0))
+    return results
+
+
+def error_text(exc: Exception) -> str:
+    """One-line description of a per-catheter failure."""
+    return f"{type(exc).__name__}: {exc}"

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .bezier import sample_curve
-from .engine import SegmentationConfig, Trajectory, segment_catheter
+from .bezier import resample_polyline, sample_curve
+from .engine import SegmentationConfig, Trajectory, error_text, segment_batch
 
 EXPERIMENTS = (("model_only", 0.0), ("image_only", math.inf), ("hybrid", 1.0))
 
@@ -33,6 +33,7 @@ class CatheterScore:
     n_points: int
     provenance_counts: dict
     failed: bool = False
+    error: str | None = None     # why a failed segmentation failed
 
 
 @dataclass
@@ -63,13 +64,9 @@ def _resample_trajectory(traj: Trajectory, step: float) -> np.ndarray:
     if traj.bezier_control is not None:
         return sample_curve(traj.bezier_control, step)
     poly = np.asarray(traj.points, dtype=float)
-    seg = np.linalg.norm(np.diff(poly, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    if arc[-1] == 0:
+    if np.all(poly == poly[0]):
         raise ValueError("degenerate trajectory: zero length")
-    n = max(2, int(np.ceil(arc[-1] / step)) + 1)
-    targets = np.linspace(0.0, arc[-1], n)
-    return np.stack([np.interp(targets, arc, poly[:, c]) for c in range(3)], axis=1)
+    return resample_polyline(poly, step)
 
 
 def hausdorff(traj_a: Trajectory, traj_b: Trajectory, resample_step: float = 0.5) -> float:
@@ -108,27 +105,18 @@ def score_catheter(traj: Trajectory, gold: Trajectory, catheter_id: str,
                          provenance_counts=_count_tags(traj.provenance))
 
 
-def _run_volume_case(args) -> list:
-    """All catheters of one volume under every experiment; module level so
-    the parallel path can pickle it."""
-    import dataclasses
-
-    case, config, experiments, resample_step = args
-    scores = []
-    for ci in range(len(case.seeds.tips)):
-        cid = f"v{case.volume_id:02d}c{ci:02d}"
-        for exp_name, d_tol in experiments:
-            try:
-                cfg = dataclasses.replace(config, d_tol=d_tol)
-                traj = segment_catheter(case.volume, case.seeds.tips[ci],
-                                        case.seeds.plane, cfg)
-                scores.append(score_catheter(traj, case.gold[ci], cid,
-                                             exp_name, resample_step))
-            except Exception:
-                scores.append(CatheterScore(
-                    catheter_id=cid, experiment=exp_name, hd=float("inf"),
-                    n_points=0, provenance_counts=_count_tags([]), failed=True))
-    return scores
+def _score_outcome(outcome, gold: Trajectory, catheter_id: str, experiment: str,
+                   resample_step: float) -> CatheterScore:
+    """Score a batch outcome; an error text, or a failure to score, becomes
+    an hd = inf row that keeps the reason."""
+    if isinstance(outcome, Trajectory):
+        try:
+            return score_catheter(outcome, gold, catheter_id, experiment,
+                                  resample_step)
+        except Exception as exc:
+            outcome = error_text(exc)
+    return CatheterScore(catheter_id, experiment, float("inf"), 0, _count_tags([]),
+                         failed=True, error=outcome)
 
 
 def run_experiments(bundle, config: SegmentationConfig, jobs: int = 1,
@@ -136,20 +124,22 @@ def run_experiments(bundle, config: SegmentationConfig, jobs: int = 1,
                     experiments=EXPERIMENTS) -> ExperimentReport:
     """Segment every bundle catheter under each gating mode and score it.
 
-    Per-catheter failures become hd = inf rows (counted as outliers); the
-    batch never aborts.  Scores come out in a fixed (volume, catheter,
-    experiment) order, so reports are byte-reproducible regardless of jobs.
+    Each catheter is estimated once and walked once per mode.  Per-catheter
+    failures become hd = inf rows (counted as outliers) that keep the error
+    text; the batch never aborts.  Scores come out in a fixed (volume,
+    catheter, experiment) order, so reports are byte-reproducible regardless
+    of jobs.
     """
-    config.ensure_table()
-    tasks = [(case, config, tuple(experiments), resample_step)
+    d_tols = tuple(d_tol for _, d_tol in experiments)
+    tasks = [(case.volume, case.seeds.plane, case.seeds.tips, d_tols)
              for case in bundle.cases]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_volume = list(pool.map(_run_volume_case, tasks, chunksize=1))
-    else:
-        per_volume = [_run_volume_case(t) for t in tasks]
-    scores = [s for chunk in per_volume for s in chunk]
+    scores = []
+    for case, tips in zip(bundle.cases, segment_batch(tasks, config, jobs)):
+        for ci, (outcomes, _) in enumerate(tips):
+            cid = f"v{case.volume_id:02d}c{ci:02d}"
+            for (exp_name, _), outcome in zip(experiments, outcomes):
+                scores.append(_score_outcome(outcome, case.gold[ci], cid,
+                                             exp_name, resample_step))
     return ExperimentReport(scores=scores)
 
 
@@ -191,17 +181,20 @@ def read_scores_csv(path) -> ExperimentReport:
 
 
 def _json_safe(x):
+    """Non-finite floats as the strings "inf", "-inf" and "nan"."""
     if isinstance(x, float) and not math.isfinite(x):
-        return "inf" if x > 0 else "-inf"
+        return str(x)
     return x
 
 
 def summary_json_text(report: ExperimentReport) -> str:
     doc = {
-        "experiments": report.stats(),
+        "experiments": {exp: {k: _json_safe(v) for k, v in stats.items()}
+                        for exp, stats in report.stats().items()},
         "raw": [{"catheter_id": s.catheter_id, "experiment": s.experiment,
                  "hd_mm": _json_safe(s.hd), "n_points": s.n_points,
-                 "provenance_counts": s.provenance_counts, "failed": s.failed}
+                 "provenance_counts": s.provenance_counts, "failed": s.failed,
+                 "error": s.error}
                 for s in report.scores],
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"

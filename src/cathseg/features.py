@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Volume3D, sample_trilinear, sample_voxel
+from .volume import Volume3D, sample_voxel
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -138,18 +138,20 @@ def line_score(vol: Volume3D, p_from, p_to, mask: FeatureMask, step: float) -> f
 
 
 def cone_search(vol: Volume3D, cone: ConeSpec, mask: FeatureMask,
-                step: float) -> tuple[np.ndarray, float]:
+                step: float) -> tuple[np.ndarray, float, np.ndarray]:
     """Best candidate on the cone base disc by minimum line score.
 
-    Ties resolve to the candidate nearest the base center, so an
-    uninformative image defers to wherever the base was proposed.
+    Returns the candidate, its score and the center intensities sampled
+    along every ray, (n_rays, n_samples).  Ties resolve to the candidate
+    nearest the base center, so an uninformative image defers to wherever
+    the base was proposed.
     """
     apex = np.asarray(cone.apex, dtype=float)
     base = np.asarray(cone.base_center, dtype=float)
     candidates = disc_points(base, base - apex, cone.base_radius, cone.n_rays)
-    scores, _ = _ray_scores(vol, apex, candidates, mask, step)
+    scores, samples = _ray_scores(vol, apex, candidates, mask, step)
     best = _pick_minimizer(candidates, scores, base)
-    return candidates[best].copy(), float(scores[best])
+    return candidates[best].copy(), float(scores[best]), samples
 
 
 def _pick_minimizer(candidates, scores, base) -> int:
@@ -160,20 +162,3 @@ def _pick_minimizer(candidates, scores, base) -> int:
     tied = np.flatnonzero(scores <= lo + tol)
     dists = np.linalg.norm(candidates[tied] - base, axis=1)
     return int(tied[np.argmin(dists)])
-
-
-def cone_search_with_stats(vol: Volume3D, cone: ConeSpec, mask: FeatureMask,
-                           step: float):
-    """Cone search that also reports the intensity spread seen by its rays.
-
-    The spread (median minus 1st percentile of the sampled center
-    intensities) estimates local contrast without touching voxels outside
-    the cone region.
-    """
-    apex = np.asarray(cone.apex, dtype=float)
-    base = np.asarray(cone.base_center, dtype=float)
-    candidates = disc_points(base, base - apex, cone.base_radius, cone.n_rays)
-    scores, samples = _ray_scores(vol, apex, candidates, mask, step)
-    best = _pick_minimizer(candidates, scores, base)
-    contrast = float(np.median(samples) - np.percentile(samples, 1))
-    return candidates[best].copy(), float(scores[best]), contrast

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .bezier import resample_polyline
 from .engine import Trajectory
-from .spring import SpringModelParams, find_max_force, simulate_forward
+from .spring import SpringModelParams, simulate_forward
 from .volume import BasePlane, SeedSet, Volume3D
 
 _CENTERLINE_STEP = 0.25  # mm, dense resampling used for distance queries
@@ -135,17 +136,6 @@ def _centerline_world(cath: CatheterSpec, model: SpringModelParams,
         + np.outer(poly2d[:, 1], lateral)
 
 
-def _dense_polyline(poly: np.ndarray, step: float) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(poly, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    n = max(2, int(np.ceil(arc[-1] / step)) + 1)
-    targets = np.linspace(0.0, arc[-1], n)
-    out = np.empty((n, 3))
-    for c in range(3):
-        out[:, c] = np.interp(targets, arc, poly[:, c])
-    return out
-
-
 def _voxel_grid_roi(vol_shape, spacing, origin, lo, hi):
     """Index ranges and world centers of the voxels inside a world-space box."""
     lo_idx = np.maximum(np.floor((lo - origin) / spacing).astype(int), 0)
@@ -169,7 +159,7 @@ def _stamp_tube(data, spacing, origin, poly, radius, edge,
     are (arc_start, arc_len) windows along the polyline where the void fades
     out entirely, with 2 mm soft shoulders.
     """
-    dense = _dense_polyline(poly, _CENTERLINE_STEP)
+    dense = resample_polyline(poly, _CENTERLINE_STEP)
     reach = radius + edge
     if bloom is not None and bloom.enabled:
         reach = max(reach, radius + 2.0 * bloom.rim_radius)
@@ -238,8 +228,8 @@ def generate_phantom(spec: PhantomSpec,
 
     for i, poly in enumerate(polylines):
         for j in range(i):
-            di = cKDTree(_dense_polyline(poly, 0.5)).query(
-                _dense_polyline(polylines[j], 0.5), k=1)[0].min()
+            di = cKDTree(resample_polyline(poly, 0.5)).query(
+                resample_polyline(polylines[j], 0.5), k=1)[0].min()
             if di < 2.0 * spec.tube_radius:
                 _warnings.warn(
                     f"catheters {j} and {i} pass within {di:.2f} mm of each other",

@@ -15,6 +15,7 @@ the force scale), lengths in mm, angles in radians.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -272,6 +273,17 @@ def build_model_table(params: SpringModelParams, f_samples: int = 200,
 
     return ModelTable(f_grid=f_grid, alpha_grid=alpha_grid, a_nodes=a_nodes,
                       d_nodes=d_nodes, f_max=f_max, params=params)
+
+
+@functools.lru_cache(maxsize=16)
+def shared_model_table(params: SpringModelParams, f_samples: int = 200,
+                       resolution: int = 100) -> ModelTable:
+    """``build_model_table`` memoized per process on its arguments; every
+    caller gets the same table, so its arrays are made read-only."""
+    table = build_model_table(params, f_samples, resolution)
+    for grid in (table.f_grid, table.alpha_grid, table.a_nodes, table.d_nodes):
+        grid.flags.writeable = False
+    return table
 
 
 def _fill_rows_then_columns(grid: np.ndarray, d_nodes: np.ndarray, a_nodes: np.ndarray):

@@ -20,7 +20,7 @@ def table(model):
 
 @pytest.fixture(scope="session")
 def config(model, table):
-    return SegmentationConfig(model=model, table=table)
+    return SegmentationConfig(model=model)
 
 
 def single_catheter_phantom(model, f0, *, depth=74.0, azimuth=0.3, noise=0.0,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cathseg.bezier import bezier_eval, chord_length_params, fit_bezier, sample_curve
+from cathseg.bezier import bezier_eval, chord_length_params, fit_bezier, \
+    resample_polyline, sample_curve
 
 
 def test_straight_line_reproduced_exactly():
@@ -87,3 +88,14 @@ def test_sample_curve_spacing_and_endpoints():
     assert np.allclose(pts[-1], control[-1], atol=1e-9)
     gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     assert gaps.max() <= 0.5 + 1e-6
+
+
+def test_resample_polyline_spacing_endpoints_and_min_points():
+    poly = np.array([[0.0, 0, 0], [3.0, 4, 0], [3.0, 4, 2.2]])   # arc 7.2 mm
+    pts = resample_polyline(poly, 0.5)
+    assert np.array_equal(pts[0], poly[0]) and np.array_equal(pts[-1], poly[-1])
+    gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    assert len(pts) == 16
+    assert gaps.max() == pytest.approx(7.2 / 15)   # chords shrink only at the corner
+    assert len(resample_polyline(poly, 100.0)) == 2
+    assert len(resample_polyline(poly, 100.0, len(poly))) == 3

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cathseg import cli
+from cathseg import cli, engine
 from cathseg.engine import load_trajectory
 from cathseg.phantom import CatheterSpec, PhantomSpec, save_phantom_spec
 from cathseg.spring import SpringModelParams, build_model_table, lookup, \
@@ -141,6 +141,22 @@ def test_segment_parallel_jobs_match_serial(tmp_path, phantom_dir):
         assert a == b
 
 
+def test_segment_parallel_manifest_times_are_measured(tmp_path, phantom_dir):
+    out = tmp_path / "parallel_times"
+    assert _run_segment(phantom_dir, out, ["--dtol", "1", "--jobs", "2"]) == 0
+    wall = json.loads((out / "manifest.json").read_text())["wall_clock_s"]
+    assert sorted(wall) == ["catheter_00", "catheter_01"]
+    assert all(t > 0 for t in wall.values())
+    assert len(set(wall.values())) > 1
+
+
+@pytest.mark.parametrize("dtol", ["-1", "nan"])
+def test_segment_invalid_dtol_exit_code(tmp_path, phantom_dir, dtol):
+    out = tmp_path / "bad_dtol"
+    assert _run_segment(phantom_dir, out, ["--dtol", dtol]) == cli.EXIT_FORMAT
+    assert not list(out.glob("trajectory_*.json"))
+
+
 def test_segment_missing_volume_exit_code(tmp_path, phantom_dir):
     rc = cli.main(["segment", "--volume", str(tmp_path / "nope.nrrd"),
                    "--seeds", str(phantom_dir / "seeds.json"),
@@ -150,7 +166,7 @@ def test_segment_missing_volume_exit_code(tmp_path, phantom_dir):
 
 def test_segment_partial_failure_exit_code(tmp_path, phantom_dir, monkeypatch):
     calls = {"n": 0}
-    real = cli.segment_catheter
+    real = engine.estimate_model
 
     def flaky(vol, tip, plane, config):
         calls["n"] += 1
@@ -158,7 +174,7 @@ def test_segment_partial_failure_exit_code(tmp_path, phantom_dir, monkeypatch):
             raise RuntimeError("synthetic per-catheter failure")
         return real(vol, tip, plane, config)
 
-    monkeypatch.setattr(cli, "segment_catheter", flaky)
+    monkeypatch.setattr(engine, "estimate_model", flaky)
     out = tmp_path / "partial"
     rc = _run_segment(phantom_dir, out, ["--dtol", "1"])
     assert rc == cli.EXIT_PARTIAL

@@ -193,8 +193,8 @@ def test_estimate_force_round_trip_band(model, config):
 
 def test_estimate_eq4_literal_flag(model, table, bent_phantom):
     vol, gold, seeds = bent_phantom
-    default = SegmentationConfig(model=model, table=table)
-    literal = SegmentationConfig(model=model, table=table, eq4_literal=True)
+    default = SegmentationConfig(model=model)
+    literal = SegmentationConfig(model=model, eq4_literal=True)
     est_d = estimate_model(vol, seeds.tips[0], seeds.plane, default)
     est_l = estimate_model(vol, seeds.tips[0], seeds.plane, literal)
     assert est_d.a == est_l.a
@@ -230,7 +230,7 @@ def test_segment_noiseless_phantom_accuracy(config, bent_phantom):
 
 def test_segment_straight_catheter_clips_to_plane(model, table):
     vol, gold, seeds = single_catheter_phantom(model, 0.0)
-    cfg = SegmentationConfig(model=model, table=table)
+    cfg = SegmentationConfig(model=model)
     traj = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
     d_last = distance_to_plane(seeds.plane, traj.points[-1])
     assert abs(d_last) < 1e-6
@@ -251,7 +251,7 @@ def test_segment_model_only_matches_manual_walk(model, table, bent_phantom):
     estimates, reconstructed here step by step from the public pieces."""
     from cathseg.spring import simulate_backward
     vol, gold, seeds = bent_phantom
-    cfg = SegmentationConfig(d_tol=0.0, model=model, table=table)
+    cfg = SegmentationConfig(d_tol=0.0, model=model)
     traj = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
     est = estimate_model(vol, seeds.tips[0], seeds.plane, cfg)
 
@@ -274,7 +274,7 @@ def test_segment_model_only_matches_manual_walk(model, table, bent_phantom):
 
 def test_segment_model_only_ignores_image_beyond_init(model, table, bent_phantom):
     vol, gold, seeds = bent_phantom
-    cfg = SegmentationConfig(d_tol=0.0, model=model, table=table)
+    cfg = SegmentationConfig(d_tol=0.0, model=model)
     ref = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
 
     # scramble everything proximal of the init-cone region
@@ -296,7 +296,7 @@ def est_a(seeds):
 
 def test_segment_image_only_has_no_model_tags(config, model, table, bent_phantom):
     vol, gold, seeds = bent_phantom
-    cfg = SegmentationConfig(d_tol=math.inf, model=model, table=table)
+    cfg = SegmentationConfig(d_tol=math.inf, model=model)
     traj = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
     assert set(traj.provenance) == {"image"}
 
@@ -305,7 +305,7 @@ def test_segment_step_length_bound(model, table, bent_phantom):
     vol, gold, seeds = bent_phantom
     a = est_a(seeds)
     for d_tol in [0.0, 1.0, math.inf]:
-        cfg = SegmentationConfig(d_tol=d_tol, model=model, table=table)
+        cfg = SegmentationConfig(d_tol=d_tol, model=model)
         traj = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
         d_seg = a / (cfg.n_c - 1)
         steps = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
@@ -318,7 +318,7 @@ def test_segment_spacing_invariant_gated_modes(model, table, bent_phantom):
     vol, gold, seeds = bent_phantom
     a = est_a(seeds)
     for d_tol in [0.0, 1.0]:
-        cfg = SegmentationConfig(d_tol=d_tol, model=model, table=table)
+        cfg = SegmentationConfig(d_tol=d_tol, model=model)
         traj = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
         d_seg = a / (cfg.n_c - 1)
         steps = np.linalg.norm(np.diff(traj.points, axis=0), axis=1)
@@ -328,7 +328,7 @@ def test_segment_spacing_invariant_gated_modes(model, table, bent_phantom):
 def test_segment_hybrid_dominance(model, table, bent_phantom):
     """Every gated step stays within d_tol of its model proposal."""
     vol, gold, seeds = bent_phantom
-    cfg = SegmentationConfig(d_tol=1.0, model=model, table=table)
+    cfg = SegmentationConfig(d_tol=1.0, model=model)
     traj = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
     assert all(tag in ("image", "compromise") or tag == "model"
                for tag in traj.provenance)
@@ -344,7 +344,7 @@ def test_frames_share_marching_axis_and_stay_deterministic(model, table, bent_ph
     axis; the turn is unbounded for near-axial segments (their azimuth is
     ill-conditioned), so only the shared axis and determinism are asserted."""
     vol, gold, seeds = bent_phantom
-    cfg = SegmentationConfig(d_tol=1.0, model=model, table=table)
+    cfg = SegmentationConfig(d_tol=1.0, model=model)
     traj = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
     prev = None
     pts = traj.points
@@ -367,8 +367,8 @@ def test_trajectory_json_round_trip(tmp_path, config, bent_phantom):
 
 def test_config_validation(model, table):
     with pytest.raises(ValueError):
-        SegmentationConfig(n_c=2, model=model, table=table)
+        SegmentationConfig(n_c=2, model=model)
     with pytest.raises(ValueError):
-        SegmentationConfig(d_tol=-1.0, model=model, table=table)
+        SegmentationConfig(d_tol=-1.0, model=model)
     with pytest.raises(ValueError):
-        SegmentationConfig(r_cone=0.0, model=model, table=table)
+        SegmentationConfig(r_cone=0.0, model=model)

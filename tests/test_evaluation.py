@@ -1,12 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cathseg.bezier import fit_bezier
-from cathseg.engine import SegmentationConfig, Trajectory
-from cathseg.evaluation import (ExperimentReport, _resample_trajectory, hausdorff,
+from cathseg.engine import SegmentationConfig, Trajectory, segment_catheter
+from cathseg.evaluation import (EXPERIMENTS, ExperimentReport,
+                                _resample_trajectory, hausdorff,
                                 read_scores_csv, run_experiments, score_catheter,
                                 scores_csv_text, summary_json_text,
                                 write_scores_csv, write_summary_json,
@@ -121,7 +123,7 @@ def mini_bundle(model):
 @pytest.fixture(scope="module")
 def mini_report(model, table):
     bundle = mini_bundle(model)
-    config = SegmentationConfig(model=model, table=table)
+    config = SegmentationConfig(model=model)
     return run_experiments(bundle, config), bundle
 
 
@@ -139,10 +141,34 @@ def test_run_experiments_shape_and_scores(mini_report):
 
 def test_run_experiments_deterministic(mini_report, model, table):
     report, bundle = mini_report
-    config = SegmentationConfig(model=model, table=table)
+    config = SegmentationConfig(model=model)
     again = run_experiments(bundle, config)
     assert scores_csv_text(again) == scores_csv_text(report)
     assert summary_json_text(again) == summary_json_text(report)
+
+
+def test_run_experiments_parallel_matches_serial(mini_report, model):
+    report, bundle = mini_report
+    parallel = run_experiments(bundle, SegmentationConfig(model=model), jobs=2)
+    assert scores_csv_text(parallel) == scores_csv_text(report)
+    assert summary_json_text(parallel) == summary_json_text(report)
+
+
+def test_run_experiments_rows_match_single_mode_segmentation(mini_report, model):
+    """The estimate shared across modes gives the rows that separate
+    segment_catheter calls per mode give."""
+    report, bundle = mini_report
+    config = SegmentationConfig(model=model)
+    rows = iter(report.scores)
+    for case in bundle.cases:
+        for ci, tip in enumerate(case.seeds.tips):
+            cid = f"v{case.volume_id:02d}c{ci:02d}"
+            for exp_name, d_tol in EXPERIMENTS:
+                traj = segment_catheter(case.volume, tip, case.seeds.plane,
+                                        replace(config, d_tol=d_tol))
+                assert next(rows) == score_catheter(traj, case.gold[ci], cid,
+                                                    exp_name)
+    assert next(rows, None) is None
 
 
 def test_scores_csv_round_trip(tmp_path, mini_report):
@@ -173,7 +199,7 @@ def test_failed_catheter_scores_inf(model, table):
     bundle = mini_bundle(model)
     # a seed behind the plane forces a per-catheter estimation failure
     bundle.cases[0].seeds.tips[0] = np.array([32.0, 32.0, 0.5])
-    config = SegmentationConfig(model=model, table=table)
+    config = SegmentationConfig(model=model)
     report = run_experiments(bundle, config)
     failed = [s for s in report.scores if s.failed]
     assert len(failed) == 3
@@ -183,13 +209,17 @@ def test_failed_catheter_scores_inf(model, table):
     assert stats["hybrid"]["count_hd_gt_3mm"] >= 1
     text = scores_csv_text(report)
     assert "inf" in text
+    assert all("strictly distal" in s.error for s in failed)
+    raw = json.loads(summary_json_text(report))["raw"]
+    assert [r["error"] for r in raw if r["failed"]] == [s.error for s in failed]
+    assert all(r["error"] is None for r in raw if not r["failed"])
 
 
 def test_overlay_export(tmp_path, mini_report, model, table):
     report, bundle = mini_report
     from cathseg.engine import segment_catheter
     case = bundle.cases[0]
-    config = SegmentationConfig(model=model, table=table)
+    config = SegmentationConfig(model=model)
     trajs = [segment_catheter(case.volume, tip, case.seeds.plane, config)
              for tip in case.seeds.tips]
     path = tmp_path / "overlay.json"

@@ -112,7 +112,7 @@ def test_cone_search_finds_tube_on_disc():
     vol = tube_volume()
     cone = ConeSpec(apex=(20.0, 20.0, 10.0), base_center=(21.5, 20.5, 25.0),
                     base_radius=15.0, n_rays=600)
-    best, score = cone_search(vol, cone, MASK, STEP)
+    best, score, _ = cone_search(vol, cone, MASK, STEP)
     true_pt = np.array([20.0, 20.0, best[2]])
     # within one voxel diagonal of the true centerline crossing
     assert np.linalg.norm(best - true_pt) < np.linalg.norm([0.5, 0.5, 1.0])
@@ -123,7 +123,7 @@ def test_cone_search_uniform_volume_returns_center():
     vol = uniform_volume()
     cone = ConeSpec(apex=(10.0, 10.0, 4.0), base_center=(10.0, 10.0, 16.0),
                     base_radius=6.0, n_rays=100)
-    best, score = cone_search(vol, cone, MASK, STEP)
+    best, score, _ = cone_search(vol, cone, MASK, STEP)
     assert np.allclose(best, cone.base_center, atol=1e-12)
     assert score == pytest.approx(0.0, abs=1e-9)
 
@@ -132,7 +132,7 @@ def test_cone_search_zero_radius_returns_base():
     vol = uniform_volume()
     cone = ConeSpec(apex=(10.0, 10.0, 4.0), base_center=(11.0, 9.0, 16.0),
                     base_radius=0.0, n_rays=100)
-    best, _ = cone_search(vol, cone, MASK, STEP)
+    best, _, _ = cone_search(vol, cone, MASK, STEP)
     assert np.allclose(best, cone.base_center, atol=1e-12)
 
 
@@ -154,7 +154,7 @@ def test_cone_search_localization_converges():
     errs = []
     for n_rays, step in [(120, 0.6), (400, 0.3)]:
         cone = ConeSpec(apex=apex, base_center=base, base_radius=12.0, n_rays=n_rays)
-        best, _ = cone_search(vol, cone, MASK, step)
+        best, _, _ = cone_search(vol, cone, MASK, step)
         errs.append(np.linalg.norm(best[:2] - np.array([20.0, 20.0])))
     assert errs[1] <= 0.5 * errs[0]
     assert errs[1] < np.linalg.norm([0.5, 0.5, 1.0])
