@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -52,7 +53,15 @@ def config_to_dict(config) -> dict:
 
 
 def config_from_dict(doc: dict) -> SegmentationConfig:
-    """Inverse of ``config_to_dict``; missing fields keep their defaults."""
+    """Inverse of ``config_to_dict``; missing fields keep their defaults.
+
+    Values must have their field's JSON type: bool fields take only
+    booleans, int fields take integers (8.0 included, 8.7 not), float fields
+    take numbers or "inf", and only optional fields take null.  Any other
+    value raises ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
     default = SegmentationConfig()
     unknown = set(doc) - set(config_to_dict(default))
     if unknown:
@@ -62,15 +71,31 @@ def config_from_dict(doc: dict) -> SegmentationConfig:
 
 def _override(config, doc: dict):
     changes = {}
+    hints = get_type_hints(type(config))
     for f in fields(config):
         value = getattr(config, f.name)
         if is_dataclass(value):
             changes[f.name] = _override(value, doc)
         elif f.name in doc:
-            # values take the type of the default: "inf" -> float, 8.0 -> int
-            new = doc[f.name]
-            changes[f.name] = new if value is None or new is None else type(value)(new)
+            changes[f.name] = _coerce(f.name, hints[f.name], doc[f.name])
     return replace(config, **changes)
+
+
+def _coerce(name: str, kind, new):
+    """``new`` as a value of the annotated field type ``kind``."""
+    if type(None) in get_args(kind):          # optional field: X | None
+        if new is None:
+            return None
+        kind = next(k for k in get_args(kind) if k is not type(None))
+    if kind is bool and isinstance(new, bool):
+        return new
+    if not isinstance(new, bool):             # JSON true/false is no number
+        if kind is int and (isinstance(new, int)
+                            or isinstance(new, float) and new.is_integer()):
+            return int(new)
+        if kind is float and (isinstance(new, (int, float)) or new == "inf"):
+            return float(new)
+    raise ValueError(f"config field {name} must be {kind.__name__}, got {new!r}")
 
 
 def _write_manifest(out_dir: Path, command: str, argv, config: dict | None,
@@ -93,7 +118,7 @@ def _load_config_arg(args) -> SegmentationConfig:
     if args.config:
         doc = json.loads(Path(args.config).read_text())
     if getattr(args, "dtol", None) is not None:
-        doc["d_tol"] = args.dtol
+        doc["d_tol"] = float(args.dtol)
     if getattr(args, "eq4_literal", False):
         doc["eq4_literal"] = True
     return config_from_dict(doc)
@@ -102,7 +127,11 @@ def _load_config_arg(args) -> SegmentationConfig:
 def cmd_simulate(args, argv) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = _load_config_arg(args)
+    try:
+        config = _load_config_arg(args)
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
     t0 = time.perf_counter()
     table = config.ensure_table()
     export_table_csv(table, out / "model_table.csv")
@@ -125,15 +154,17 @@ def cmd_simulate(args, argv) -> int:
 def cmd_phantom(args, argv) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
     try:
         spec = load_phantom_spec(args.spec)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        print(f"phantom spec error: {exc}", file=sys.stderr)
+        model = SpringModelParams(**{f.name: getattr(args, f.name)
+                                     for f in fields(SpringModelParams)})
+        # generation checks dims, spacing, distractor kinds and insertion
+        # depths against the model: its ValueErrors are input errors too
+        vol, gold, seeds = generate_phantom(spec, model)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"phantom input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    model = SpringModelParams(**{f.name: getattr(args, f.name)
-                                 for f in fields(SpringModelParams)})
-    t0 = time.perf_counter()
-    vol, gold, seeds = generate_phantom(spec, model)
     save_volume(vol, out / "volume.nrrd")
     save_seeds(seeds, out / "seeds.json")
     for i, g in enumerate(gold):

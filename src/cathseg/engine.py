@@ -80,8 +80,6 @@ class EstimateResult:
     alpha0_sum: float
     f0_est: float
     l_long: np.ndarray
-    alpha_sum_est: float
-    clamped: bool
     used_fallback: bool
     warnings: list
 
@@ -229,8 +227,7 @@ def estimate_model(vol: Volume3D, tip, plane: BasePlane,
     if res.clamped:
         warnings.append("lookup_clamped")
     return EstimateResult(a=a, d=d, alpha0_sum=alpha0_sum, f0_est=res.f_est,
-                          l_long=l_long, alpha_sum_est=res.alpha_sum_est,
-                          clamped=res.clamped, used_fallback=used_fallback,
+                          l_long=l_long, used_fallback=used_fallback,
                           warnings=warnings)
 
 

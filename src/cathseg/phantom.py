@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .bezier import resample_polyline
@@ -136,18 +137,21 @@ def _centerline_world(cath: CatheterSpec, model: SpringModelParams,
         + np.outer(poly2d[:, 1], lateral)
 
 
-def _voxel_grid_roi(vol_shape, spacing, origin, lo, hi):
-    """Index ranges and world centers of the voxels inside a world-space box."""
-    lo_idx = np.maximum(np.floor((lo - origin) / spacing).astype(int), 0)
-    hi_idx = np.minimum(np.ceil((hi - origin) / spacing).astype(int) + 1,
-                        np.asarray(vol_shape))
-    if np.any(lo_idx >= hi_idx):
-        return None
-    ranges = [np.arange(lo_idx[c], hi_idx[c]) for c in range(3)]
-    ii, jj, kk = np.meshgrid(*ranges, indexing="ij")
-    centers = origin + np.stack([ii, jj, kk], axis=-1) * spacing
-    return (slice(lo_idx[0], hi_idx[0]), slice(lo_idx[1], hi_idx[1]),
-            slice(lo_idx[2], hi_idx[2])), centers
+def _near_voxels(shape, spacing, origin, points, reach):
+    """Indices and world centers of the voxels within ``ceil(reach /
+    spacing) + 1`` voxels, per axis, of the voxel holding one of ``points``
+    (clamped into the volume): every voxel center closer than ``reach`` to a
+    point is among them."""
+    shape = np.asarray(shape)
+    held = np.clip(np.floor((points - origin) / spacing).astype(int), 0, shape - 1)
+    pad = np.ceil(reach / spacing).astype(int) + 1
+    lo = np.maximum(held.min(axis=0) - pad, 0)
+    hi = np.minimum(held.max(axis=0) + pad + 1, shape)
+    mask = np.zeros(hi - lo, dtype=bool)
+    mask[tuple((held - lo).T)] = True
+    mask = ndimage.maximum_filter(mask, size=2 * pad + 1, mode="constant")
+    idx = np.argwhere(mask) + lo
+    return tuple(idx.T), origin + idx * spacing
 
 
 def _stamp_tube(data, spacing, origin, poly, radius, edge,
@@ -157,53 +161,46 @@ def _stamp_tube(data, spacing, origin, poly, radius, edge,
 
     ``core_floor`` lifts the void darkness (fainter catheter); ``dropouts``
     are (arc_start, arc_len) windows along the polyline where the void fades
-    out entirely, with 2 mm soft shoulders.
+    out entirely, with 2 mm soft shoulders.  Voxels at ``reach`` or beyond
+    are skipped: darkening and rim leave them exactly unchanged.
     """
     dense = resample_polyline(poly, _CENTERLINE_STEP)
     reach = radius + edge
     if bloom is not None and bloom.enabled:
         reach = max(reach, radius + 2.0 * bloom.rim_radius)
-    roi = _voxel_grid_roi(data.shape, spacing, origin,
-                          dense.min(axis=0) - reach - 1.0,
-                          dense.max(axis=0) + reach + 1.0)
-    if roi is None:
-        return
-    sl, centers = roi
-    tree = cKDTree(dense)
-    dist, idx = tree.query(centers.reshape(-1, 3), k=1)
-    dist = dist.reshape(centers.shape[:3])
+    vox, centers = _near_voxels(data.shape, spacing, origin, dense, reach)
+    dist, idx = cKDTree(dense).query(centers, k=1, distance_upper_bound=reach)
+    near = np.isfinite(dist)
+    vox = tuple(v[near] for v in vox)
+    dist, idx = dist[near], idx[near]
 
     # multiplicative darkening composes across crossing structures
     mult = np.clip((dist - (radius - edge / 2.0)) / edge, 0.0, 1.0)
     floor = min(max(core_floor / background, 0.0), 1.0)
     mult = floor + (1.0 - floor) * mult
     if dropouts:
-        arc = (idx * _CENTERLINE_STEP).reshape(centers.shape[:3])
+        arc = idx * _CENTERLINE_STEP
         visible = np.ones_like(mult)
         for start, length in dropouts:
             lo, hi = start, start + length
             fade = np.clip(np.minimum(arc - lo, hi - arc) / 2.0, 0.0, 1.0)
             visible = np.minimum(visible, 1.0 - fade)
         mult = 1.0 - (1.0 - mult) * visible
-    data[sl] = (data[sl] * mult).astype(np.float32)
+    data[vox] = (data[vox] * mult).astype(np.float32)
 
     if bloom is not None and bloom.enabled and bloom.rim_gain > 0:
         peak = radius + bloom.rim_radius
         bump = np.clip(1.0 - np.abs(dist - peak) / bloom.rim_radius, 0.0, 1.0)
-        data[sl] = data[sl] + (bloom.rim_gain * bump).astype(np.float32)
+        data[vox] = data[vox] + (bloom.rim_gain * bump).astype(np.float32)
 
 
 def _stamp_blob(data, spacing, origin, center, radius, edge):
     center = np.asarray(center, dtype=float)
-    reach = radius + edge
-    roi = _voxel_grid_roi(data.shape, spacing, origin, center - reach - 1.0,
-                          center + reach + 1.0)
-    if roi is None:
-        return
-    sl, centers = roi
+    vox, centers = _near_voxels(data.shape, spacing, origin, center[None, :],
+                                radius + edge)
     dist = np.linalg.norm(centers - center, axis=-1)
     mult = np.clip((dist - (radius - edge / 2.0)) / edge, 0.0, 1.0)
-    data[sl] = (data[sl] * mult).astype(np.float32)
+    data[vox] = (data[vox] * mult).astype(np.float32)
 
 
 def generate_phantom(spec: PhantomSpec,
@@ -211,6 +208,8 @@ def generate_phantom(spec: PhantomSpec,
     """Build (volume, gold centerlines, seeds) from a phantom spec."""
     dims = tuple(int(d) for d in spec.dims)
     spacing = np.asarray(spec.spacing, dtype=float)
+    if min(dims) < 1 or np.any(spacing <= 0):
+        raise ValueError(f"dims {dims} and spacing {spec.spacing} must be positive")
     origin = np.zeros(3)
     extent = (np.asarray(dims) - 1) * spacing
 

@@ -7,7 +7,8 @@ import pytest
 
 from cathseg import cli, engine
 from cathseg.engine import load_trajectory
-from cathseg.phantom import CatheterSpec, PhantomSpec, save_phantom_spec
+from cathseg.phantom import CatheterSpec, DistractorSpec, PhantomSpec, \
+    save_phantom_spec
 from cathseg.spring import SpringModelParams, build_model_table, lookup, \
     simulate_forward
 from cathseg.volume import load_volume, sample_trilinear
@@ -62,6 +63,18 @@ def test_simulate_writes_table_and_curves(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("doc", [{"bogus": 1}, {"eq4_literal": "false"}],
+                         ids=["unknown_key", "string_bool"])
+def test_simulate_config_error_exit_code(tmp_path, capsys, doc):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "sim"
+    rc = cli.main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == cli.EXIT_FORMAT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (out / "model_table.csv").exists()
+
+
 def test_phantom_outputs_and_determinism(tmp_path, phantom_dir):
     vol = load_volume(phantom_dir / "volume.nrrd")
     seeds = json.loads((phantom_dir / "seeds.json").read_text())
@@ -88,6 +101,26 @@ def test_phantom_bad_spec_exit_code(tmp_path):
     bad.write_text("{\"catheters\": 7}")
     rc = cli.main(["phantom", "--spec", str(bad), "--out-dir", str(tmp_path / "o")])
     assert rc == cli.EXIT_FORMAT
+
+
+@pytest.mark.parametrize("spec", [
+    PhantomSpec(dims=(32, 32, 32), catheters=[CatheterSpec(
+        f0=0.0, insertion_depth=500.0, deflection_azimuth=0.0,
+        entry_point=(0.0, 0.0))]),
+    PhantomSpec(dims=(32, 32, 32), distractors=[DistractorSpec(kind="spiral")]),
+    PhantomSpec(dims=(0, 32, 32), distractors=[DistractorSpec(kind="blob")]),
+    PhantomSpec(dims=(32, 32, 32), spacing=(0.5, 0.0, 1.0),
+                distractors=[DistractorSpec(kind="blob")]),
+], ids=["insertion_beyond_length", "unknown_distractor_kind", "empty_dims",
+        "zero_spacing"])
+def test_phantom_invalid_spec_exit_code(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    save_phantom_spec(spec, path)
+    out = tmp_path / "o"
+    rc = cli.main(["phantom", "--spec", str(path), "--out-dir", str(out)])
+    assert rc == cli.EXIT_FORMAT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (out / "volume.nrrd").exists()
 
 
 def _run_segment(phantom_dir, out, extra):
@@ -246,3 +279,33 @@ def test_config_round_trip(tmp_path):
     assert cli.config_to_dict(cfg2) == doc
     with pytest.raises(ValueError):
         cli.config_from_dict({"bogus_field": 1})
+
+
+def test_config_bool_fields_accept_only_booleans():
+    assert cli.config_from_dict({"eq4_literal": True}).eq4_literal is True
+    assert cli.config_from_dict({"eq4_literal": False}).eq4_literal is False
+    for bad in ("false", "true", 0, 1, None):
+        with pytest.raises(ValueError, match="eq4_literal"):
+            cli.config_from_dict({"eq4_literal": bad})
+
+
+def test_config_int_fields_accept_integral_numbers_only():
+    cfg = cli.config_from_dict({"n_c": 8.0, "n_rays": 64, "n_seg": 12.0})
+    assert (cfg.n_c, cfg.n_rays, cfg.model.n_seg) == (8, 64, 12)
+    assert type(cfg.n_c) is int and type(cfg.model.n_seg) is int
+    for bad in (8.7, "8", True, None, [8]):
+        with pytest.raises(ValueError, match="n_c"):
+            cli.config_from_dict({"n_c": bad})
+
+
+def test_config_float_fields_take_numbers_inf_and_optional_null():
+    cfg = cli.config_from_dict({"d_tol": "inf", "r_cone": 15, "ray_step": None})
+    assert math.isinf(cfg.d_tol) and cfg.r_cone == 15.0 and cfg.ray_step is None
+    assert type(cfg.r_cone) is float
+    assert cli.config_from_dict({"ray_step": 0.3}).ray_step == 0.3
+    for key, bad in [("d_tol", None), ("d_tol", "1.5"), ("d_tol", False),
+                     ("ray_step", "fine"), ("ring_radius", True)]:
+        with pytest.raises(ValueError, match=key):
+            cli.config_from_dict({key: bad})
+    with pytest.raises(ValueError):
+        cli.config_from_dict([["d_tol", 1.0]])

@@ -4,7 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from cathseg import phantom
+from cathseg.bezier import resample_polyline
 from cathseg.phantom import (BloomSpec, CatheterSpec, DistractorSpec, PhantomSpec,
                              deflection_at_depth, force_for_deflection,
                              generate_phantom, load_phantom_spec,
@@ -168,3 +171,91 @@ def test_benchmark_gold_consistent_with_forward_model(bench42):
         assert np.all(segs[:-1] == pytest.approx(bundle.model.seg_length, abs=1e-9))
         d = distance_to_plane(case.seeds.plane, gold.points[0])
         assert d == pytest.approx(cath.insertion_depth, abs=1e-9)
+
+
+def _box_voxels(shape, spacing, origin, lo, hi):
+    """Slices and world centers of every voxel inside a world-space box."""
+    lo_idx = np.maximum(np.floor((lo - origin) / spacing).astype(int), 0)
+    hi_idx = np.minimum(np.ceil((hi - origin) / spacing).astype(int) + 1,
+                        np.asarray(shape))
+    if np.any(lo_idx >= hi_idx):
+        return None
+    ranges = [np.arange(lo_idx[c], hi_idx[c]) for c in range(3)]
+    ii, jj, kk = np.meshgrid(*ranges, indexing="ij")
+    centers = origin + np.stack([ii, jj, kk], axis=-1) * spacing
+    return tuple(slice(lo_idx[c], hi_idx[c]) for c in range(3)), centers
+
+
+def _stamp_tube_full_box(data, spacing, origin, poly, radius, edge, bloom=None,
+                         core_floor=0.0, dropouts=(), background=100.0):
+    """Brute-force oracle for ``phantom._stamp_tube``: an unbounded kd-tree
+    query at every voxel of the tube's bounding box grown by reach + 1 mm."""
+    dense = resample_polyline(poly, phantom._CENTERLINE_STEP)
+    reach = radius + edge
+    if bloom is not None and bloom.enabled:
+        reach = max(reach, radius + 2.0 * bloom.rim_radius)
+    roi = _box_voxels(data.shape, spacing, origin, dense.min(axis=0) - reach - 1.0,
+                      dense.max(axis=0) + reach + 1.0)
+    if roi is None:
+        return
+    sl, centers = roi
+    dist, idx = cKDTree(dense).query(centers.reshape(-1, 3), k=1)
+    dist = dist.reshape(centers.shape[:3])
+    mult = np.clip((dist - (radius - edge / 2.0)) / edge, 0.0, 1.0)
+    floor = min(max(core_floor / background, 0.0), 1.0)
+    mult = floor + (1.0 - floor) * mult
+    if dropouts:
+        arc = (idx * phantom._CENTERLINE_STEP).reshape(centers.shape[:3])
+        visible = np.ones_like(mult)
+        for start, length in dropouts:
+            fade = np.clip(np.minimum(arc - start, start + length - arc) / 2.0,
+                           0.0, 1.0)
+            visible = np.minimum(visible, 1.0 - fade)
+        mult = 1.0 - (1.0 - mult) * visible
+    data[sl] = (data[sl] * mult).astype(np.float32)
+    if bloom is not None and bloom.enabled and bloom.rim_gain > 0:
+        peak = radius + bloom.rim_radius
+        bump = np.clip(1.0 - np.abs(dist - peak) / bloom.rim_radius, 0.0, 1.0)
+        data[sl] = data[sl] + (bloom.rim_gain * bump).astype(np.float32)
+
+
+def _stamp_blob_whole_volume(data, spacing, origin, center, radius, edge):
+    """Brute-force oracle for ``phantom._stamp_blob`` over every voxel."""
+    centers = origin + np.moveaxis(np.indices(data.shape), 0, -1) * spacing
+    dist = np.linalg.norm(centers - np.asarray(center, dtype=float), axis=-1)
+    mult = np.clip((dist - (radius - edge / 2.0)) / edge, 0.0, 1.0)
+    data[...] = (data * mult).astype(np.float32)
+
+
+@pytest.mark.parametrize("spacing", [(0.5, 0.5, 1.0), (1.0, 0.7, 0.4)],
+                         ids=["spacing_05_05_10", "spacing_10_07_04"])
+@pytest.mark.parametrize("bloom", [False, True], ids=["plain", "bloom"])
+def test_stamping_matches_full_box_oracle(model, monkeypatch, spacing, bloom):
+    dims = tuple(int(round(e / s)) + 1 for e, s in zip((40.0, 36.0, 50.0), spacing))
+    spec = PhantomSpec(
+        dims=dims, spacing=spacing, noise_sigma=3.0, rng_seed=4,
+        bloom=BloomSpec(enabled=bloom, rim_radius=1.0, rim_gain=60.0),
+        catheters=[
+            CatheterSpec(f0=40.0, insertion_depth=42.0, deflection_azimuth=0.7,
+                         entry_point=(-6.0, 1.0), core_intensity=30.0,
+                         dropouts=[(6.0, 6.0), (18.0, 5.0)]),
+            CatheterSpec(f0=0.0, insertion_depth=38.0, deflection_azimuth=0.0,
+                         entry_point=(7.0, -3.0))],
+        distractors=[
+            # leaves the volume through two faces
+            DistractorSpec(kind="tube", p0=(5.0, 5.0, 10.0), p1=(70.0, 30.0, 90.0)),
+            # wholly outside the volume
+            DistractorSpec(kind="tube", p0=(-30.0, -20.0, -20.0),
+                           p1=(-10.0, -30.0, -5.0)),
+            # centered on the x = 0 face
+            DistractorSpec(kind="blob", p0=(0.0, 20.0, 25.0), radius=3.0),
+            DistractorSpec(kind="blob", p0=(30.0, 12.0, 30.0), radius=2.2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = generate_phantom(spec, model)[0].data
+        monkeypatch.setattr(phantom, "_stamp_tube", _stamp_tube_full_box)
+        monkeypatch.setattr(phantom, "_stamp_blob", _stamp_blob_whole_volume)
+        oracle = generate_phantom(spec, model)[0].data
+    assert float(oracle.min()) < 20.0
+    assert (float(oracle.max()) > 140.0) == bloom
+    assert np.array_equal(fast, oracle)
