@@ -126,7 +126,6 @@ def _load_config_arg(args) -> SegmentationConfig:
 
 def cmd_simulate(args, argv) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         config = _load_config_arg(args)
     except (FileNotFoundError, ValueError) as exc:
@@ -153,7 +152,6 @@ def cmd_simulate(args, argv) -> int:
 
 def cmd_phantom(args, argv) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     try:
         spec = load_phantom_spec(args.spec)
@@ -177,14 +175,13 @@ def cmd_phantom(args, argv) -> int:
 
 def cmd_segment(args, argv) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         vol = load_volume(args.volume)
         seeds = load_seeds(args.seeds)
         seeds.validate(vol)
         config = _load_config_arg(args)
     except (VolumeFormatError, TruncatedVolumeError, FileNotFoundError,
-            KeyError, ValueError, json.JSONDecodeError) as exc:
+            KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 
@@ -215,7 +212,6 @@ def _collect_numbered(path: Path, prefix: str) -> dict:
 
 def cmd_evaluate(args, argv) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     gold_dir, pred_dir = Path(args.gold), Path(args.pred)
     gold_files = _collect_numbered(gold_dir, "gold")
     pred_files = _collect_numbered(pred_dir, "trajectory")
@@ -228,12 +224,14 @@ def cmd_evaluate(args, argv) -> int:
     scores = []
     trajs, golds = [], []
     for key in sorted(gold_files):
-        gold = load_trajectory(gold_files[key])
-        traj = load_trajectory(pred_files[key])
-        trajs.append(traj)
-        golds.append(gold)
-        scores.append(score_catheter(traj, gold, f"c{key}", args.experiment,
-                                     args.resample_step))
+        try:
+            golds.append(load_trajectory(gold_files[key]))
+            trajs.append(load_trajectory(pred_files[key]))
+            scores.append(score_catheter(trajs[-1], golds[-1], f"c{key}",
+                                         args.experiment, args.resample_step))
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            print(f"trajectory input error for id {key}: {exc}", file=sys.stderr)
+            return EXIT_FORMAT
     report = ExperimentReport(scores=scores)
     write_scores_csv(report, out / "scores.csv")
     write_summary_json(report, out / "summary.json")
@@ -242,6 +240,16 @@ def cmd_evaluate(args, argv) -> int:
                     {"gold": str(gold_dir), "pred": str(pred_dir)}, {},
                     {"total": time.perf_counter() - t0})
     return EXIT_OK
+
+
+def _checked(kind, ok, what: str):
+    """argparse ``type``: ``kind(text)``, rejected unless ``ok`` holds."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="write the model table and curves")
     p_sim.add_argument("--config", help="config JSON path")
-    p_sim.add_argument("--n-curves", type=int, default=8)
+    p_sim.add_argument("--n-curves", default=8,
+                       type=_checked(int, lambda n: n >= 0, "non-negative"))
     p_sim.add_argument("--out-dir", required=True)
 
     p_ph = sub.add_parser("phantom", help="generate a synthetic volume")
@@ -277,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--pred", required=True,
                       help="directory with trajectory_XX.json")
     p_ev.add_argument("--experiment", default="hybrid")
-    p_ev.add_argument("--resample-step", type=float, default=0.5)
+    p_ev.add_argument("--resample-step", default=0.5, type=_checked(
+        float, lambda x: 0 < x < math.inf, "positive and finite"))
     p_ev.add_argument("--out-dir", required=True)
     return parser
 
@@ -286,6 +296,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     handlers = {"simulate": cmd_simulate, "phantom": cmd_phantom,
                 "segment": cmd_segment, "evaluate": cmd_evaluate}
     return handlers[args.command](args, argv)

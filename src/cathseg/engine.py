@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .bezier import fit_bezier, resample_polyline
-from .features import ConeSpec, FeatureMask, cone_search, default_ray_step
+from .features import ConeSpec, FeatureMask, cone_search, default_ray_step, \
+    orthonormal_basis
 from .spring import ModelTable, SingularConfigurationError, SpringModelParams, \
     lookup, shared_model_table, simulate_backward
 from .volume import BasePlane, Volume3D, distance_to_plane
@@ -110,6 +111,8 @@ class Trajectory:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Trajectory":
+        if not isinstance(doc, dict):
+            raise ValueError("trajectory must be a JSON object")
         bez = doc.get("bezier")
         return cls(points=np.asarray(doc["points"], dtype=float),
                    bezier_control=None if bez is None else np.asarray(bez, dtype=float),
@@ -145,9 +148,7 @@ def make_local_frame(l_s, r_ref, prev: LocalFrame | None = None) -> LocalFrame:
     if np.linalg.norm(n) < _PARALLEL_EPS:
         if prev is not None:
             return prev
-        e = np.zeros(3)
-        e[int(np.argmin(np.abs(r_hat)))] = 1.0
-        n = np.cross(e, r_hat)
+        n = -orthonormal_basis(r_hat)[0]
     n /= np.linalg.norm(n)
     d = np.cross(n, r_hat)
     d /= np.linalg.norm(d)
@@ -241,15 +242,10 @@ def _angle_profile(model: SpringModelParams, alpha0_sum: float, f0_est: float,
     """
     n_steps = min(model.n_seg, max(1, math.ceil(max_arc / model.seg_length)))
     try:
-        bw = simulate_backward(model, alpha0_sum, f0_est, n_steps)
-        arcs = np.arange(n_steps + 1) * model.seg_length
-        return arcs, bw.alpha_sum, False
+        bw, truncated = simulate_backward(model, alpha0_sum, f0_est, n_steps), False
     except SingularConfigurationError as exc:
-        if exc.step == 0:
-            return np.array([0.0]), np.array([alpha0_sum]), True
-        bw = simulate_backward(model, alpha0_sum, f0_est, exc.step)
-        arcs = np.arange(exc.step + 1) * model.seg_length
-        return arcs, bw.alpha_sum, True
+        bw, truncated = simulate_backward(model, alpha0_sum, f0_est, exc.step), True
+    return np.arange(len(bw.alpha_sum)) * model.seg_length, bw.alpha_sum, truncated
 
 
 def segment_catheter(vol: Volume3D, tip, plane: BasePlane,

@@ -52,13 +52,15 @@ class ConeSpec:
 
 
 def orthonormal_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (u, v) spanning the plane orthogonal to ``direction``."""
+    """Deterministic (u, v) spanning the plane orthogonal to ``direction``
+    (3,) or to each of a stack (..., 3): ``u = w x e`` for the world axis
+    ``e`` least aligned with ``w``, and ``v = w x u``."""
     w = np.asarray(direction, dtype=float)
-    w = w / np.linalg.norm(w)
-    e = np.zeros(3)
-    e[int(np.argmin(np.abs(w)))] = 1.0
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    e = np.zeros_like(w)
+    np.put_along_axis(e, np.argmin(np.abs(w), axis=-1)[..., None], 1.0, axis=-1)
     u = np.cross(w, e)
-    u /= np.linalg.norm(u)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
     v = np.cross(w, u)
     return u, v
 
@@ -96,26 +98,14 @@ def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
     n_samp = max(2, int(np.ceil(lens.max() / step)) + 1)
     t = np.linspace(0.0, 1.0, n_samp)
 
-    dirs = rays / lens[:, None]
-    # per-ray orthonormal ring basis, vectorized against the least-aligned axis
-    e = np.zeros_like(dirs)
-    e[np.arange(len(dirs)), np.argmin(np.abs(dirs), axis=1)] = 1.0
-    u = np.cross(dirs, e)
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    v = np.cross(dirs, u)
-
+    u, v = orthonormal_basis(rays)              # per-ray ring basis
     ang = 2.0 * math.pi * np.arange(mask.n_ring_samples) / mask.n_ring_samples
     ring = mask.ring_radius * (np.cos(ang)[None, :, None] * u[:, None, :]
                                + np.sin(ang)[None, :, None] * v[:, None, :])  # (C, m, 3)
 
-    def to_vox_vec(w):
-        if vol._identity_axes:
-            return w * vol._inv_spacing
-        return (w @ vol.axis_directions) * vol._inv_spacing
-
     apex_v = vol.world_to_voxel(apex)
-    rays_v = to_vox_vec(rays)
-    ring_v = to_vox_vec(ring.reshape(-1, 3)).reshape(ring.shape)
+    rays_v = vol.vector_to_voxel(rays)
+    ring_v = vol.vector_to_voxel(ring)
     centers_v = apex_v + t[None, :, None] * rays_v[:, None, :]   # (C, n, 3)
     ring_pts_v = centers_v[:, :, None, :] + ring_v[:, None, :, :]
 

@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 
 from .bezier import resample_polyline
 from .engine import Trajectory
-from .spring import SpringModelParams, simulate_forward
+from .spring import SpringModelParams, bracket_threshold, simulate_forward
 from .volume import BasePlane, SeedSet, Volume3D
 
 _CENTERLINE_STEP = 0.25  # mm, dense resampling used for distance queries
@@ -117,8 +117,8 @@ def _centerline_world(cath: CatheterSpec, model: SpringModelParams,
                       plane: BasePlane, in_plane: tuple) -> np.ndarray:
     """Exact forward-model polyline, truncated where the plane distance
     reaches the insertion depth, mapped into world coordinates."""
-    if cath.insertion_depth > model.total_length:
-        raise ValueError("insertion_depth exceeds the catheter length")
+    if not 0 < cath.insertion_depth <= model.total_length:
+        raise ValueError("insertion_depth must lie in (0, catheter length]")
     state = simulate_forward(model, cath.f0)
     pos = state.positions                       # (n+1, 2) as (a, d)
     a = pos[:, 0]
@@ -220,10 +220,8 @@ def generate_phantom(spec: PhantomSpec,
     data = np.full(dims, spec.background_intensity, dtype=np.float32)
     edge = float(np.max(spacing))
 
-    polylines = []
-    for cath in spec.catheters:
-        poly = _centerline_world(cath, model, plane, in_plane)
-        polylines.append(poly)
+    polylines = [_centerline_world(cath, model, plane, in_plane)
+                 for cath in spec.catheters]
 
     for i, poly in enumerate(polylines):
         for j in range(i):
@@ -287,23 +285,15 @@ def force_for_deflection(model: SpringModelParams, depth: float,
     """Tip force whose catheter deflects ``d_target`` mm at ``depth`` mm."""
     if d_target <= 0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        d = deflection_at_depth(model, hi, depth)
-        if d is None or d >= d_target:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
+
+    def short(f):
+        d = deflection_at_depth(model, f, depth)
+        return d is not None and d < d_target
+
+    bracket = bracket_threshold(short, 1.0, 60)
+    if bracket is None:
         raise ValueError(f"deflection {d_target} mm unreachable at depth {depth} mm")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        d = deflection_at_depth(model, mid, depth)
-        if d is None or d >= d_target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (bracket[0] + bracket[1])
 
 
 @dataclass

@@ -160,21 +160,34 @@ def find_max_force(params: SpringModelParams,
             return False
         return float(np.max(np.abs(state.alpha_sum))) < angle_limit
 
-    lo, hi = 0.0, max(params.k_a * angle_limit / params.n_seg, 1.0)
-    for _ in range(200):
-        if not ok(hi):
-            break
-        lo = hi
-        hi *= 2.0
-    else:
+    start = max(params.k_a * angle_limit / params.n_seg, 1.0)
+    bracket = bracket_threshold(ok, start, 64)
+    if bracket is None:
         raise RuntimeError("force sweep failed to find an upper bracket")
-    for _ in range(64):
+    return bracket[0]
+
+
+def bracket_threshold(below, hi: float, steps: int) -> tuple[float, float] | None:
+    """``(lo, hi)`` around the threshold of a predicate that holds below it:
+    ``hi`` doubles until ``below(hi)`` fails (None after 200 doublings), then
+    up to ``steps`` bisections, stopping once the midpoint no longer lies
+    strictly inside, where further steps could not move the bracket."""
+    lo = 0.0
+    for _ in range(200):
+        if not below(hi):
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        return None
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if ok(mid):
+        if not lo < mid < hi:
+            break
+        if below(mid):
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, hi
 
 
 @dataclass

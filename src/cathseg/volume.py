@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-_ORTHO_TOL = 1e-9
+_HULL_EPS = 1e-9  # voxel units
 
 # header "type" field -> numpy dtype (little-endian forced on read/write)
 _NRRD_DTYPES = {
@@ -77,8 +77,6 @@ class Volume3D:
             self.data = self.data.reshape(self.dims)
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
         self._background = None
-        self._identity_axes = bool(np.array_equal(self.axis_directions, np.eye(3)))
-        self._inv_spacing = 1.0 / self.spacing
 
     @property
     def background_intensity(self) -> float:
@@ -87,12 +85,12 @@ class Volume3D:
             self._background = float(self.data.max())
         return self._background
 
+    def vector_to_voxel(self, w) -> np.ndarray:
+        """World displacements (..., 3) in voxel units along the grid axes."""
+        return (np.asarray(w, dtype=float) @ self.axis_directions) * (1.0 / self.spacing)
+
     def world_to_voxel(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        rel = p - self.origin
-        if self._identity_axes:
-            return rel * self._inv_spacing
-        return (rel @ self.axis_directions) * self._inv_spacing
+        return self.vector_to_voxel(np.asarray(p, dtype=float) - self.origin)
 
     def voxel_to_world(self, idx) -> np.ndarray:
         idx = np.asarray(idx, dtype=float)
@@ -100,10 +98,12 @@ class Volume3D:
 
     def contains(self, p) -> np.ndarray | bool:
         """True where the world point lies inside the voxel-center hull."""
-        u = self.world_to_voxel(p)
+        return self._in_hull(self.world_to_voxel(p))
+
+    def _in_hull(self, u) -> np.ndarray | bool:
+        """``contains`` in voxel units (..., 3), up to round-trip rounding."""
         hi = np.asarray(self.dims, dtype=float) - 1.0
-        ok = np.all((u >= 0.0) & (u <= hi), axis=-1)
-        return ok
+        return np.all((u >= -_HULL_EPS) & (u <= hi + _HULL_EPS), axis=-1)
 
 
 @dataclass
@@ -164,9 +164,8 @@ def sample_voxel(vol: Volume3D, u: np.ndarray, background: float | None = None):
     """Trilinear sampling at continuous voxel coordinates (n, 3)."""
     if background is None:
         background = vol.background_intensity
+    inside = vol._in_hull(u).reshape(-1)
     hi = np.asarray(vol.dims, dtype=float) - 1.0
-    eps = 1e-9  # voxel units; absorbs world/voxel round-trip rounding
-    inside = np.all((u >= -eps) & (u <= hi + eps), axis=-1).reshape(-1)
     coords = np.clip(u.reshape(-1, 3).T, 0.0, hi[:, None])
     vals = ndimage.map_coordinates(vol.data, coords, order=1, mode="nearest",
                                    output=np.float64)

@@ -111,8 +111,14 @@ def test_phantom_bad_spec_exit_code(tmp_path):
     PhantomSpec(dims=(0, 32, 32), distractors=[DistractorSpec(kind="blob")]),
     PhantomSpec(dims=(32, 32, 32), spacing=(0.5, 0.0, 1.0),
                 distractors=[DistractorSpec(kind="blob")]),
+    PhantomSpec(dims=(32, 32, 32), catheters=[CatheterSpec(
+        f0=0.0, insertion_depth=0.0, deflection_azimuth=0.0,
+        entry_point=(0.0, 0.0))]),
+    PhantomSpec(dims=(32, 32, 32), catheters=[CatheterSpec(
+        f0=0.0, insertion_depth=-5.0, deflection_azimuth=0.0,
+        entry_point=(0.0, 0.0))]),
 ], ids=["insertion_beyond_length", "unknown_distractor_kind", "empty_dims",
-        "zero_spacing"])
+        "zero_spacing", "zero_insertion_depth", "negative_insertion_depth"])
 def test_phantom_invalid_spec_exit_code(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     save_phantom_spec(spec, path)
@@ -197,6 +203,21 @@ def test_segment_missing_volume_exit_code(tmp_path, phantom_dir):
     assert rc == cli.EXIT_FORMAT
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(tips=5),
+    lambda doc: doc.update(plane=[0.0, 0.0, 1.0]),
+], ids=["tips_not_a_list", "plane_not_an_object"])
+def test_segment_malformed_seeds_exit_code(tmp_path, capsys, phantom_dir, edit):
+    doc = json.loads((phantom_dir / "seeds.json").read_text())
+    edit(doc)
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps(doc))
+    rc = cli.main(["segment", "--volume", str(phantom_dir / "volume.nrrd"),
+                   "--seeds", str(seeds), "--out-dir", str(tmp_path / "o")])
+    assert rc == cli.EXIT_FORMAT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_segment_partial_failure_exit_code(tmp_path, phantom_dir, monkeypatch):
     calls = {"n": 0}
     real = engine.estimate_model
@@ -267,6 +288,41 @@ def test_evaluate_pairing_error(tmp_path, phantom_dir):
     rc = cli.main(["evaluate", "--gold", str(phantom_dir), "--pred", str(pred),
                    "--out-dir", str(tmp_path / "o")])
     assert rc == cli.EXIT_FORMAT
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text[: len(text) // 2],
+    lambda text: json.dumps({"points": [[0.0, 0.0, 0.0]], "bezier": None}),
+    lambda text: "[1, 2, 3]",
+], ids=["truncated_json", "one_point", "not_an_object"])
+def test_evaluate_invalid_trajectory_exit_code(tmp_path, capsys, phantom_dir, corrupt):
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for gf in phantom_dir.glob("gold_*.json"):
+        idx = gf.stem.split("_")[-1]
+        (pred / f"trajectory_{idx}.json").write_text(gf.read_text())
+    bad = pred / "trajectory_00.json"
+    bad.write_text(corrupt(bad.read_text()))
+    out = tmp_path / "eval"
+    rc = cli.main(["evaluate", "--gold", str(phantom_dir), "--pred", str(pred),
+                   "--out-dir", str(out)])
+    assert rc == cli.EXIT_FORMAT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (out / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--gold", "g", "--pred", "p", "--out-dir", "o",
+     "--resample-step", step] for step in ("0", "nan", "-1", "inf")
+] + [["simulate", "--out-dir", "o", "--n-curves", "-1"]],
+    ids=["resample_step_0", "resample_step_nan", "resample_step_-1",
+         "resample_step_inf", "n_curves_-1"])
+def test_out_of_range_flags_exit_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_round_trip(tmp_path):

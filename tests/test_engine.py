@@ -32,6 +32,9 @@ def test_frame_parallel_segment_reuses_previous():
     assert frame is prev
     fixed = make_local_frame(r * 3.0, r, None)
     assert np.allclose(fixed.r_loc, -r, atol=1e-12)
+    # the fallback frame bends model-only walks toward -x, not +x
+    assert np.allclose(fixed.n_loc, [0.0, -1.0, 0.0], atol=1e-12)
+    assert np.allclose(fixed.d_loc, [-1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_frame_zero_segment_rejected():

@@ -3,7 +3,7 @@ import pytest
 
 from cathseg.features import (ConeSpec, FeatureMask, cone_search, disc_points,
                               line_score, orthonormal_basis)
-from cathseg.volume import Volume3D
+from cathseg.volume import Volume3D, sample_trilinear
 
 
 def tube_volume(radius=0.8, background=100.0, dims=(80, 80, 60),
@@ -106,6 +106,54 @@ def test_orthonormal_basis_properties():
             assert abs(a @ b) < 1e-12
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_orthonormal_basis_stack_matches_rows():
+    w = np.random.default_rng(4).normal(size=(50, 3))
+    u, v = orthonormal_basis(w)
+    assert u.shape == v.shape == (50, 3)
+    for row, ur, vr in zip(w, u, v):
+        u1, v1 = orthonormal_basis(row)
+        assert np.max(np.abs(ur - u1)) <= 1e-15 and np.max(np.abs(vr - v1)) <= 1e-15
+    w = w / np.linalg.norm(w, axis=1, keepdims=True)
+    for a, b in [(u, v), (u, w), (v, w)]:
+        assert np.max(np.abs(np.sum(a * b, axis=1))) < 1e-12
+    assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)
+
+
+def permuted_axes_volume(vol, perm, signs):
+    """The same world content as ``vol`` (identity axes, zero origin) on a
+    grid whose axis k runs along world axis perm[k] in direction signs[k]."""
+    axes = np.zeros((3, 3))
+    origin = np.zeros(3)
+    data = np.transpose(vol.data, perm)
+    for k, (ax, sign) in enumerate(zip(perm, signs)):
+        axes[ax, k] = sign
+        if sign < 0:
+            origin[ax] = (vol.dims[ax] - 1) * vol.spacing[ax]
+            data = np.flip(data, axis=k)
+    return Volume3D(dims=data.shape, spacing=vol.spacing[list(perm)], origin=origin,
+                    axis_directions=axes, data=data)
+
+
+@pytest.mark.parametrize("perm,signs", [((2, 0, 1), (-1, 1, -1)),
+                                        ((1, 0, 2), (1, -1, 1))])
+def test_signed_axis_permutation_samples_and_searches_alike(perm, signs):
+    vol = tube_volume()
+    turned = permuted_axes_volume(vol, perm, signs)
+    assert not np.array_equal(turned.axis_directions, np.eye(3))
+    rng = np.random.default_rng(6)
+    extent = (np.asarray(vol.dims) - 1) * vol.spacing
+    pts = rng.uniform(-2.0, extent + 2.0, size=(2000, 3))
+    assert np.max(np.abs(sample_trilinear(turned, pts)
+                         - sample_trilinear(vol, pts))) < 1e-9
+    cone = ConeSpec(apex=(20.0, 20.0, 10.0), base_center=(21.5, 20.5, 25.0),
+                    base_radius=15.0, n_rays=600)
+    best, score, _ = cone_search(vol, cone, MASK, STEP)
+    best_t, score_t, _ = cone_search(turned, cone, MASK, STEP)
+    assert np.array_equal(best_t, best)
+    assert score_t == pytest.approx(score, abs=1e-9)
 
 
 def test_cone_search_finds_tube_on_disc():

@@ -149,6 +149,19 @@ def test_force_for_deflection_inverts(model):
     assert force_for_deflection(model, 74.0, 0.0) == 0.0
 
 
+def test_force_for_deflection_stops_when_bracket_stops_shrinking(model, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return deflection_at_depth(*args)
+
+    monkeypatch.setattr(phantom, "deflection_at_depth", counted)
+    f0 = force_for_deflection(model, 74.0, 5.0)
+    assert len(calls) <= 60
+    assert deflection_at_depth(model, f0, 74.0) == pytest.approx(5.0, abs=1e-6)
+
+
 def test_benchmark_catheter_count_and_variety(bench42):
     a = bench42
     assert a.n_catheters == 100

@@ -5,8 +5,9 @@ import pytest
 
 from cathseg.spring import (ModelTable, OverDeflectionError,
                             SingularConfigurationError, SpringModelParams,
-                            build_model_table, export_table_csv, find_max_force,
-                            lookup, simulate_backward, simulate_forward)
+                            bracket_threshold, build_model_table,
+                            export_table_csv, find_max_force, lookup,
+                            simulate_backward, simulate_forward)
 
 
 def scalar_recurrence_oracle(k_a, n_seg, seg_len, f0):
@@ -122,6 +123,19 @@ def test_find_max_force_respects_angle_cap(model):
 # ---------------------------------------------------------------------------
 # model table
 # ---------------------------------------------------------------------------
+
+def test_bracket_threshold_ends_on_adjacent_floats():
+    calls = []
+
+    def below(f):
+        calls.append(f)
+        return f < 0.3
+
+    lo, hi = bracket_threshold(below, 1e-3, 200)
+    assert lo < 0.3 <= hi and hi == np.nextafter(lo, np.inf)
+    assert len(calls) < 80            # stops long before its 200-step cap
+    assert bracket_threshold(lambda f: True, 1.0, 60) is None
+
 
 def test_table_resolution_and_ranges(model, table):
     assert table.f_grid.shape == (100, 100)

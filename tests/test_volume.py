@@ -187,6 +187,18 @@ def test_seed_validation():
         SeedSet(tips=[(3.0, 3.0, 0.5)], plane=plane).validate(vol)
 
 
+def test_seed_on_last_voxel_face_is_inside():
+    # voxel_to_world of (9, 4, 4) maps back to u = 9.000000000000002 here
+    vol = make_volume(np.arange(1000.0).reshape(10, 10, 10), spacing=(0.7,) * 3,
+                      origin=(12.7,) * 3)
+    tip = vol.voxel_to_world((9, 4, 4))
+    assert vol.world_to_voxel(tip)[0] > 9.0
+    assert vol.contains(tip)
+    assert sample_trilinear(vol, tip) == pytest.approx(944.0, abs=1e-6)
+    plane = BasePlane(point=(0.0, 0.0, 13.0), normal=(0.0, 0.0, 1.0))
+    SeedSet(tips=[tip], plane=plane).validate(vol)
+
+
 def test_seeds_json_round_trip(tmp_path):
     plane = BasePlane(point=(1.0, 2.0, 3.0), normal=(0.0, 1.0, 0.0))
     seeds = SeedSet(tips=[(4.0, 5.0, 6.0), (7.0, 8.0, 9.0)], plane=plane)
