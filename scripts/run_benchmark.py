@@ -8,6 +8,7 @@ import argparse
 import time
 from pathlib import Path
 
+from cathseg.cli import _checked
 from cathseg.engine import SegmentationConfig
 from cathseg.evaluation import run_experiments, write_scores_csv, write_summary_json
 from cathseg.phantom import standard_benchmark
@@ -16,7 +17,8 @@ from cathseg.phantom import standard_benchmark
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", default=1,
+                        type=_checked(int, lambda n: n >= 1, "at least 1"))
     parser.add_argument("--out-dir", default="bench_out")
     args = parser.parse_args()
 

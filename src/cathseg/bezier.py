@@ -40,7 +40,7 @@ def _derivative_controls(control: np.ndarray) -> np.ndarray:
     return n * np.diff(control, axis=0)
 
 
-def fit_bezier(points, n_control: int, max_iter: int = 1000, tol: float = 1e-15) -> np.ndarray:
+def fit_bezier(points, n_control: int, max_iter: int = 1000) -> np.ndarray:
     """Fit an (n_control - 1)-degree Bezier curve to an ordered point list."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -59,7 +59,7 @@ def fit_bezier(points, n_control: int, max_iter: int = 1000, tol: float = 1e-15)
         t = _reparameterize(points, control, t)
         control = _solve(points, t, n_control)
         res = _max_residual(points, control, t)
-        if prev_res - res < tol:
+        if prev_res - res < 1e-15:
             break
         prev_res = res
     return control
@@ -107,11 +107,11 @@ def _reparameterize(points, control, t):
     return t_new
 
 
-def sample_curve(control: np.ndarray, step: float, oversample: int = 4) -> np.ndarray:
+def sample_curve(control: np.ndarray, step: float) -> np.ndarray:
     """Resample the curve at approximately equal arc-length spacing <= step."""
     if step <= 0:
         raise ValueError("step must be positive")
-    dense_n = max(64, oversample * len(control) * 8)
+    dense_n = max(64, 32 * len(control))
     t_dense = np.linspace(0.0, 1.0, dense_n)
     pts = bezier_eval(control, t_dense)
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)

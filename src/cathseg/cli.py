@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -55,10 +55,9 @@ def config_to_dict(config) -> dict:
 def config_from_dict(doc: dict) -> SegmentationConfig:
     """Inverse of ``config_to_dict``; missing fields keep their defaults.
 
-    Values must have their field's JSON type: bool fields take only
-    booleans, int fields take integers (8.0 included, 8.7 not), float fields
-    take numbers or "inf", and only optional fields take null.  Any other
-    value raises ValueError.
+    Values must have their field's JSON type: int fields take integers (8.0
+    included, 8.7 not) and float fields take numbers or "inf"; booleans and
+    null are neither.  Any other value raises ValueError.
     """
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
@@ -83,12 +82,6 @@ def _override(config, doc: dict):
 
 def _coerce(name: str, kind, new):
     """``new`` as a value of the annotated field type ``kind``."""
-    if type(None) in get_args(kind):          # optional field: X | None
-        if new is None:
-            return None
-        kind = next(k for k in get_args(kind) if k is not type(None))
-    if kind is bool and isinstance(new, bool):
-        return new
     if not isinstance(new, bool):             # JSON true/false is no number
         if kind is int and (isinstance(new, int)
                             or isinstance(new, float) and new.is_integer()):
@@ -119,8 +112,6 @@ def _load_config_arg(args) -> SegmentationConfig:
         doc = json.loads(Path(args.config).read_text())
     if getattr(args, "dtol", None) is not None:
         doc["d_tol"] = float(args.dtol)
-    if getattr(args, "eq4_literal", False):
-        doc["eq4_literal"] = True
     return config_from_dict(doc)
 
 
@@ -277,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--seeds", required=True)
     p_seg.add_argument("--config", help="config JSON path")
     p_seg.add_argument("--dtol", help="0 | inf | <mm>, overrides config")
-    p_seg.add_argument("--eq4-literal", action="store_true")
-    p_seg.add_argument("--jobs", type=int, default=1)
+    p_seg.add_argument("--jobs", default=1,
+                       type=_checked(int, lambda n: n >= 1, "at least 1"))
     p_seg.add_argument("--out-dir", required=True)
 
     p_ev = sub.add_parser("evaluate", help="score trajectories against gold")

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .bezier import fit_bezier, resample_polyline
-from .features import ConeSpec, FeatureMask, cone_search, default_ray_step, \
-    orthonormal_basis
+from .features import ConeSpec, FeatureMask, cone_search, orthonormal_basis, \
+    ray_sample_spacing
 from .spring import ModelTable, SingularConfigurationError, SpringModelParams, \
     lookup, shared_model_table, simulate_backward
 from .volume import BasePlane, Volume3D, distance_to_plane
@@ -45,11 +45,7 @@ class SegmentationConfig:
     r_cone: float = 20.0          # mm cone base radius
     mask: FeatureMask = field(default_factory=FeatureMask)
     n_rays: int = 600
-    ray_step: float | None = None  # mm; None = half the smallest voxel spacing
     model: SpringModelParams = field(default_factory=SpringModelParams)
-    table_f_samples: int = 200
-    table_resolution: int = 100
-    eq4_literal: bool = False
 
     def __post_init__(self):
         if self.n_c < 3:
@@ -60,8 +56,7 @@ class SegmentationConfig:
             raise ValueError("r_cone must be positive")
 
     def ensure_table(self) -> ModelTable:
-        return shared_model_table(self.model, self.table_f_samples,
-                                  self.table_resolution)
+        return shared_model_table(self.model)
 
 
 @dataclass
@@ -193,13 +188,13 @@ def estimate_model(vol: Volume3D, tip, plane: BasePlane,
     if a <= 0:
         raise ValueError("tip must be strictly distal of the base plane")
     table = config.ensure_table()
-    step = config.ray_step if config.ray_step is not None else default_ray_step(vol)
     warnings = []
 
     base = tip - (a / 2.0) * plane.normal
     cone = ConeSpec(apex=tuple(tip), base_center=tuple(base),
                     base_radius=config.r_cone, n_rays=config.n_rays)
-    m_point, best_score, samples = cone_search(vol, cone, config.mask, step)
+    m_point, best_score, samples = cone_search(vol, cone, config.mask,
+                                               ray_sample_spacing(vol))
     # local contrast: median minus 1st percentile of the sampled center
     # intensities, without touching voxels outside the cone region
     contrast = float(np.median(samples) - np.percentile(samples, 1))
@@ -219,10 +214,7 @@ def estimate_model(vol: Volume3D, tip, plane: BasePlane,
     z_axis = vol.axis_directions[:, 2]
     alpha_ref = math.acos(float(np.clip(abs(plane.normal @ z_axis), -1.0, 1.0)))
     denom = max(math.cos(alpha_ref), 1e-12)
-    if config.eq4_literal:
-        d = a / denom * math.sin(math.acos(float(np.clip(alpha0_sum, -1.0, 1.0))))
-    else:
-        d = a / denom * math.sin(alpha0_sum)
+    d = a / denom * math.sin(alpha0_sum)
 
     res = lookup(table, a, d)
     if res.clamped:
@@ -259,7 +251,7 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
     """Guided walk from the tip to the base plane under the estimate ``est``
     of this catheter, then the Bezier fit of the accepted points."""
     tip = np.asarray(tip, dtype=float)
-    step = config.ray_step if config.ray_step is not None else default_ray_step(vol)
+    step = ray_sample_spacing(vol)
     warnings = list(est.warnings)
 
     d_seg = est.a / (config.n_c - 1)
@@ -274,7 +266,6 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
     tags = [TAG_IMAGE]
 
     hard = math.pi / 2 - 1e-6
-    sign = 1.0 if est.alpha0_sum >= 0 else -1.0
 
     def walk_angle(arc: float) -> float:
         if truncated and arc > max_arc:
@@ -282,8 +273,7 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
         # the (a, d) model space is one-sided: a tip force never bends the
         # catheter past straight, so the profile may not cross zero; the last
         # backward entry is also unchecked by the singular guard
-        alpha = sign * float(np.interp(arc, arcs, alphas))
-        return sign * min(max(alpha, 0.0), hard)
+        return min(max(float(np.interp(arc, arcs, alphas)), 0.0), hard)
 
     def search(apex: np.ndarray, b_mod: np.ndarray):
         if config.d_tol == 0:

@@ -78,7 +78,7 @@ def disc_points(center, normal, radius: float, n: int) -> np.ndarray:
     return np.vstack([center[None, :], center + offsets])
 
 
-def default_ray_step(vol: Volume3D) -> float:
+def ray_sample_spacing(vol: Volume3D) -> float:
     """Nyquist-safe line-integral spacing: half the smallest voxel spacing."""
     return 0.5 * float(np.min(vol.spacing))
 

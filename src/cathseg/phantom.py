@@ -137,24 +137,24 @@ def _centerline_world(cath: CatheterSpec, model: SpringModelParams,
         + np.outer(poly2d[:, 1], lateral)
 
 
-def _near_voxels(shape, spacing, origin, points, reach):
+def _near_voxels(vol: Volume3D, points, reach):
     """Indices and world centers of the voxels within ``ceil(reach /
     spacing) + 1`` voxels, per axis, of the voxel holding one of ``points``
     (clamped into the volume): every voxel center closer than ``reach`` to a
     point is among them."""
-    shape = np.asarray(shape)
-    held = np.clip(np.floor((points - origin) / spacing).astype(int), 0, shape - 1)
-    pad = np.ceil(reach / spacing).astype(int) + 1
+    shape = np.asarray(vol.dims)
+    held = np.clip(np.floor(vol.world_to_voxel(points)).astype(int), 0, shape - 1)
+    pad = np.ceil(reach / vol.spacing).astype(int) + 1
     lo = np.maximum(held.min(axis=0) - pad, 0)
     hi = np.minimum(held.max(axis=0) + pad + 1, shape)
     mask = np.zeros(hi - lo, dtype=bool)
     mask[tuple((held - lo).T)] = True
     mask = ndimage.maximum_filter(mask, size=2 * pad + 1, mode="constant")
     idx = np.argwhere(mask) + lo
-    return tuple(idx.T), origin + idx * spacing
+    return tuple(idx.T), vol.voxel_to_world(idx)
 
 
-def _stamp_tube(data, spacing, origin, poly, radius, edge,
+def _stamp_tube(vol: Volume3D, poly, radius, edge,
                 bloom: BloomSpec | None = None, core_floor: float = 0.0,
                 dropouts=(), background: float = 100.0):
     """Darken voxels near the polyline; optionally add a bright rim outside.
@@ -168,7 +168,7 @@ def _stamp_tube(data, spacing, origin, poly, radius, edge,
     reach = radius + edge
     if bloom is not None and bloom.enabled:
         reach = max(reach, radius + 2.0 * bloom.rim_radius)
-    vox, centers = _near_voxels(data.shape, spacing, origin, dense, reach)
+    vox, centers = _near_voxels(vol, dense, reach)
     dist, idx = cKDTree(dense).query(centers, k=1, distance_upper_bound=reach)
     near = np.isfinite(dist)
     vox = tuple(v[near] for v in vox)
@@ -186,21 +186,20 @@ def _stamp_tube(data, spacing, origin, poly, radius, edge,
             fade = np.clip(np.minimum(arc - lo, hi - arc) / 2.0, 0.0, 1.0)
             visible = np.minimum(visible, 1.0 - fade)
         mult = 1.0 - (1.0 - mult) * visible
-    data[vox] = (data[vox] * mult).astype(np.float32)
+    vol.data[vox] = (vol.data[vox] * mult).astype(np.float32)
 
     if bloom is not None and bloom.enabled and bloom.rim_gain > 0:
         peak = radius + bloom.rim_radius
         bump = np.clip(1.0 - np.abs(dist - peak) / bloom.rim_radius, 0.0, 1.0)
-        data[vox] = data[vox] + (bloom.rim_gain * bump).astype(np.float32)
+        vol.data[vox] = vol.data[vox] + (bloom.rim_gain * bump).astype(np.float32)
 
 
-def _stamp_blob(data, spacing, origin, center, radius, edge):
+def _stamp_blob(vol: Volume3D, center, radius, edge):
     center = np.asarray(center, dtype=float)
-    vox, centers = _near_voxels(data.shape, spacing, origin, center[None, :],
-                                radius + edge)
+    vox, centers = _near_voxels(vol, center[None, :], radius + edge)
     dist = np.linalg.norm(centers - center, axis=-1)
     mult = np.clip((dist - (radius - edge / 2.0)) / edge, 0.0, 1.0)
-    data[vox] = (data[vox] * mult).astype(np.float32)
+    vol.data[vox] = (vol.data[vox] * mult).astype(np.float32)
 
 
 def generate_phantom(spec: PhantomSpec,
@@ -208,8 +207,6 @@ def generate_phantom(spec: PhantomSpec,
     """Build (volume, gold centerlines, seeds) from a phantom spec."""
     dims = tuple(int(d) for d in spec.dims)
     spacing = np.asarray(spec.spacing, dtype=float)
-    if min(dims) < 1 or np.any(spacing <= 0):
-        raise ValueError(f"dims {dims} and spacing {spec.spacing} must be positive")
     origin = np.zeros(3)
     extent = (np.asarray(dims) - 1) * spacing
 
@@ -217,7 +214,10 @@ def generate_phantom(spec: PhantomSpec,
     plane = BasePlane(point=plane_point, normal=np.array([0.0, 0.0, 1.0]))
     in_plane = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
 
-    data = np.full(dims, spec.background_intensity, dtype=np.float32)
+    # checks dims and spacing; stamped and noised in place before it is returned
+    vol = Volume3D(dims=dims, spacing=spacing, origin=origin,
+                   axis_directions=np.eye(3),
+                   data=np.full(dims, spec.background_intensity, dtype=np.float32))
     edge = float(np.max(spacing))
 
     polylines = [_centerline_world(cath, model, plane, in_plane)
@@ -234,25 +234,21 @@ def generate_phantom(spec: PhantomSpec,
 
     for d in spec.distractors:
         if d.kind == "tube":
-            _stamp_tube(data, spacing, origin,
-                        np.array([d.p0, d.p1], dtype=float), d.radius, edge)
+            _stamp_tube(vol, np.array([d.p0, d.p1], dtype=float), d.radius, edge)
         elif d.kind == "blob":
-            _stamp_blob(data, spacing, origin, d.p0, d.radius, edge)
+            _stamp_blob(vol, d.p0, d.radius, edge)
         else:
             raise ValueError(f"unknown distractor kind {d.kind!r}")
 
     for cath, poly in zip(spec.catheters, polylines):
-        _stamp_tube(data, spacing, origin, poly, spec.tube_radius, edge,
+        _stamp_tube(vol, poly, spec.tube_radius, edge,
                     spec.bloom, core_floor=cath.core_intensity,
                     dropouts=cath.dropouts,
                     background=spec.background_intensity)
 
     if spec.noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(spec.rng_seed))
-        data = data + rng.normal(0.0, spec.noise_sigma, size=dims).astype(np.float32)
-
-    vol = Volume3D(dims=dims, spacing=spacing, origin=origin,
-                   axis_directions=np.eye(3), data=data)
+        vol.data += rng.normal(0.0, spec.noise_sigma, size=dims).astype(np.float32)
 
     gold = []
     tips = []

@@ -289,11 +289,10 @@ def build_model_table(params: SpringModelParams, f_samples: int = 200,
 
 
 @functools.lru_cache(maxsize=16)
-def shared_model_table(params: SpringModelParams, f_samples: int = 200,
-                       resolution: int = 100) -> ModelTable:
-    """``build_model_table`` memoized per process on its arguments; every
-    caller gets the same table, so its arrays are made read-only."""
-    table = build_model_table(params, f_samples, resolution)
+def shared_model_table(params: SpringModelParams) -> ModelTable:
+    """``build_model_table(params)`` memoized per process on the model;
+    every caller gets the same table, so its arrays are made read-only."""
+    table = build_model_table(params)
     for grid in (table.f_grid, table.alpha_grid, table.a_nodes, table.d_nodes):
         grid.flags.writeable = False
     return table

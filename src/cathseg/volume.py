@@ -145,31 +145,29 @@ def distance_to_plane(plane: BasePlane, p) -> float | np.ndarray:
     return (p - plane.point) @ plane.normal
 
 
-def sample_trilinear(vol: Volume3D, p, background: float | None = None):
+def sample_trilinear(vol: Volume3D, p):
     """Trilinear interpolation of volume intensity at world point(s) ``p``.
 
     Accepts a single point ``(3,)`` or a batch ``(..., 3)``.  Points outside
-    the voxel-center hull return ``background`` (the volume maximum when not
-    given), so rays leaving the volume never look like dark voids.
+    the voxel-center hull return ``vol.background_intensity`` (the volume
+    maximum), so rays leaving the volume never look like dark voids.
     """
     p = np.asarray(p, dtype=float)
     u = vol.world_to_voxel(p.reshape(-1, 3))
-    vals = sample_voxel(vol, u, background)
+    vals = sample_voxel(vol, u)
     if p.ndim == 1:
         return float(vals[0])
     return vals.reshape(p.shape[:-1])
 
 
-def sample_voxel(vol: Volume3D, u: np.ndarray, background: float | None = None):
+def sample_voxel(vol: Volume3D, u: np.ndarray):
     """Trilinear sampling at continuous voxel coordinates (n, 3)."""
-    if background is None:
-        background = vol.background_intensity
     inside = vol._in_hull(u).reshape(-1)
     hi = np.asarray(vol.dims, dtype=float) - 1.0
     coords = np.clip(u.reshape(-1, 3).T, 0.0, hi[:, None])
     vals = ndimage.map_coordinates(vol.data, coords, order=1, mode="nearest",
                                    output=np.float64)
-    vals[~inside] = background
+    vals[~inside] = vol.background_intensity
     return vals
 
 

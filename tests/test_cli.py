@@ -63,7 +63,7 @@ def test_simulate_writes_table_and_curves(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("doc", [{"bogus": 1}, {"eq4_literal": "false"}],
+@pytest.mark.parametrize("doc", [{"bogus": 1}, {"n_c": "8"}],
                          ids=["unknown_key", "string_bool"])
 def test_simulate_config_error_exit_code(tmp_path, capsys, doc):
     cfg = tmp_path / "config.json"
@@ -314,9 +314,11 @@ def test_evaluate_invalid_trajectory_exit_code(tmp_path, capsys, phantom_dir, co
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--gold", "g", "--pred", "p", "--out-dir", "o",
      "--resample-step", step] for step in ("0", "nan", "-1", "inf")
-] + [["simulate", "--out-dir", "o", "--n-curves", "-1"]],
+] + [["simulate", "--out-dir", "o", "--n-curves", "-1"]] + [
+    ["segment", "--volume", "v", "--seeds", "s", "--out-dir", "o",
+     "--jobs", jobs] for jobs in ("0", "-3")],
     ids=["resample_step_0", "resample_step_nan", "resample_step_-1",
-         "resample_step_inf", "n_curves_-1"])
+         "resample_step_inf", "n_curves_-1", "jobs_0", "jobs_-3"])
 def test_out_of_range_flags_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -337,14 +339,6 @@ def test_config_round_trip(tmp_path):
         cli.config_from_dict({"bogus_field": 1})
 
 
-def test_config_bool_fields_accept_only_booleans():
-    assert cli.config_from_dict({"eq4_literal": True}).eq4_literal is True
-    assert cli.config_from_dict({"eq4_literal": False}).eq4_literal is False
-    for bad in ("false", "true", 0, 1, None):
-        with pytest.raises(ValueError, match="eq4_literal"):
-            cli.config_from_dict({"eq4_literal": bad})
-
-
 def test_config_int_fields_accept_integral_numbers_only():
     cfg = cli.config_from_dict({"n_c": 8.0, "n_rays": 64, "n_seg": 12.0})
     assert (cfg.n_c, cfg.n_rays, cfg.model.n_seg) == (8, 64, 12)
@@ -355,13 +349,28 @@ def test_config_int_fields_accept_integral_numbers_only():
 
 
 def test_config_float_fields_take_numbers_inf_and_optional_null():
-    cfg = cli.config_from_dict({"d_tol": "inf", "r_cone": 15, "ray_step": None})
-    assert math.isinf(cfg.d_tol) and cfg.r_cone == 15.0 and cfg.ray_step is None
+    cfg = cli.config_from_dict({"d_tol": "inf", "r_cone": 15})
+    assert math.isinf(cfg.d_tol) and cfg.r_cone == 15.0
     assert type(cfg.r_cone) is float
-    assert cli.config_from_dict({"ray_step": 0.3}).ray_step == 0.3
     for key, bad in [("d_tol", None), ("d_tol", "1.5"), ("d_tol", False),
-                     ("ray_step", "fine"), ("ring_radius", True)]:
+                     ("ring_radius", True)]:
         with pytest.raises(ValueError, match=key):
             cli.config_from_dict({key: bad})
     with pytest.raises(ValueError):
         cli.config_from_dict([["d_tol", 1.0]])
+
+
+def test_config_has_nine_keys_and_removed_keys_exit_3(tmp_path, capsys,
+                                                      phantom_dir):
+    assert set(cli.config_to_dict(engine.SegmentationConfig())) == {
+        "n_c", "d_tol", "r_cone", "ring_radius", "n_ring_samples", "n_rays",
+        "k_a", "n_seg", "total_length"}
+    for key, value in [("ray_step", None), ("table_f_samples", 200),
+                       ("table_resolution", 100), ("eq4_literal", False)]:
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / key
+        assert _run_segment(phantom_dir, out, ["--config", str(cfg)]) \
+            == cli.EXIT_FORMAT
+        assert key in capsys.readouterr().err
+        assert not list(out.glob("trajectory_*.json"))

@@ -194,18 +194,6 @@ def test_estimate_force_round_trip_band(model, config):
     assert f_ests[0] < f_ests[1] < f_ests[2]
 
 
-def test_estimate_eq4_literal_flag(model, table, bent_phantom):
-    vol, gold, seeds = bent_phantom
-    default = SegmentationConfig(model=model)
-    literal = SegmentationConfig(model=model, eq4_literal=True)
-    est_d = estimate_model(vol, seeds.tips[0], seeds.plane, default)
-    est_l = estimate_model(vol, seeds.tips[0], seeds.plane, literal)
-    assert est_d.a == est_l.a
-    assert est_d.alpha0_sum == est_l.alpha0_sum
-    assert est_l.d != pytest.approx(est_d.d, abs=1e-6)
-    assert math.isfinite(est_l.f0_est)
-
-
 # ---------------------------------------------------------------------------
 # full segmentation
 # ---------------------------------------------------------------------------

@@ -199,10 +199,11 @@ def _box_voxels(shape, spacing, origin, lo, hi):
     return tuple(slice(lo_idx[c], hi_idx[c]) for c in range(3)), centers
 
 
-def _stamp_tube_full_box(data, spacing, origin, poly, radius, edge, bloom=None,
-                         core_floor=0.0, dropouts=(), background=100.0):
+def _stamp_tube_full_box(vol, poly, radius, edge, bloom=None, core_floor=0.0,
+                         dropouts=(), background=100.0):
     """Brute-force oracle for ``phantom._stamp_tube``: an unbounded kd-tree
     query at every voxel of the tube's bounding box grown by reach + 1 mm."""
+    data, spacing, origin = vol.data, vol.spacing, vol.origin
     dense = resample_polyline(poly, phantom._CENTERLINE_STEP)
     reach = radius + edge
     if bloom is not None and bloom.enabled:
@@ -232,8 +233,9 @@ def _stamp_tube_full_box(data, spacing, origin, poly, radius, edge, bloom=None,
         data[sl] = data[sl] + (bloom.rim_gain * bump).astype(np.float32)
 
 
-def _stamp_blob_whole_volume(data, spacing, origin, center, radius, edge):
+def _stamp_blob_whole_volume(vol, center, radius, edge):
     """Brute-force oracle for ``phantom._stamp_blob`` over every voxel."""
+    data, spacing, origin = vol.data, vol.spacing, vol.origin
     centers = origin + np.moveaxis(np.indices(data.shape), 0, -1) * spacing
     dist = np.linalg.norm(centers - np.asarray(center, dtype=float), axis=-1)
     mult = np.clip((dist - (radius - edge / 2.0)) / edge, 0.0, 1.0)

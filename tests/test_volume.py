@@ -118,7 +118,6 @@ def test_sample_outside_returns_background():
     data[1, 1, 1] = 42.0
     vol = make_volume(data)
     assert sample_trilinear(vol, (-5.0, 0.0, 0.0)) == 42.0  # volume max
-    assert sample_trilinear(vol, (-5.0, 0.0, 0.0), background=0.0) == 0.0
 
 
 def test_sample_batch_shapes():
