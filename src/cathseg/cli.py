@@ -30,8 +30,7 @@ from .evaluation import ExperimentReport, score_catheter, write_scores_csv, \
     write_summary_json, write_overlay_json
 from .phantom import generate_phantom, load_phantom_spec
 from .spring import SpringModelParams, export_table_csv, simulate_forward
-from .volume import TruncatedVolumeError, VolumeFormatError, load_seeds, \
-    load_volume, save_seeds, save_volume
+from .volume import load_seeds, load_volume, save_seeds, save_volume
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -119,7 +118,7 @@ def cmd_simulate(args, argv) -> int:
     out = Path(args.out_dir)
     try:
         config = _load_config_arg(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     t0 = time.perf_counter()
@@ -151,7 +150,7 @@ def cmd_phantom(args, argv) -> int:
         # generation checks dims, spacing, distractor kinds and insertion
         # depths against the model: its ValueErrors are input errors too
         vol, gold, seeds = generate_phantom(spec, model)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"phantom input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     save_volume(vol, out / "volume.nrrd")
@@ -166,13 +165,13 @@ def cmd_phantom(args, argv) -> int:
 
 def cmd_segment(args, argv) -> int:
     out = Path(args.out_dir)
+    # a malformed volume raises ValueError, a truncated one OSError
     try:
         vol = load_volume(args.volume)
         seeds = load_seeds(args.seeds)
         seeds.validate(vol)
         config = _load_config_arg(args)
-    except (VolumeFormatError, TruncatedVolumeError, FileNotFoundError,
-            KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 

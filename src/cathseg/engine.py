@@ -4,7 +4,10 @@
 from the distal tip; ``walk`` then alternates short model-proposed steps
 with cone searches, gates each image candidate against the model proposal
 with ``d_tol`` and fits a Bezier curve to the accepted points.  The batch
-runner estimates each catheter once and walks it once per ``d_tol``.
+runner estimates each catheter once and walks it once per ``d_tol``; the
+walks of one catheter share their cones, so a cone that two modes repeat
+(the image-only and hybrid walks agree until hybrid first compromises) is
+cast once.
 """
 
 from __future__ import annotations
@@ -247,12 +250,19 @@ def segment_catheter(vol: Volume3D, tip, plane: BasePlane,
 
 
 def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
-         est: EstimateResult) -> Trajectory:
+         est: EstimateResult, cones: dict | None = None) -> Trajectory:
     """Guided walk from the tip to the base plane under the estimate ``est``
-    of this catheter, then the Bezier fit of the accepted points."""
+    of this catheter, then the Bezier fit of the accepted points.
+
+    ``cones`` memoizes cone candidates by the exact bytes of the apex and
+    base center.  Share one memo only between walks of one tip in one volume
+    whose configs differ in ``d_tol`` alone: everything else that a cone
+    search reads is then the same, so every result is unchanged.
+    """
     tip = np.asarray(tip, dtype=float)
     step = ray_sample_spacing(vol)
     warnings = list(est.warnings)
+    cones = {} if cones is None else cones
 
     d_seg = est.a / (config.n_c - 1)
     u_long = est.l_long / np.linalg.norm(est.l_long)
@@ -278,10 +288,12 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
     def search(apex: np.ndarray, b_mod: np.ndarray):
         if config.d_tol == 0:
             return b_mod
-        cone = ConeSpec(apex=tuple(apex), base_center=tuple(b_mod),
-                        base_radius=config.r_cone, n_rays=config.n_rays)
-        c_img, _, _ = cone_search(vol, cone, config.mask, step)
-        return c_img
+        key = (apex.tobytes(), b_mod.tobytes())
+        if key not in cones:
+            cone = ConeSpec(apex=tuple(apex), base_center=tuple(b_mod),
+                            base_radius=config.r_cone, n_rays=config.n_rays)
+            cones[key], _, _ = cone_search(vol, cone, config.mask, step)
+        return cones[key]
 
     def accept(t_k: np.ndarray, candidate: np.ndarray, b_mod: np.ndarray) -> bool:
         """Gate, clip at the base plane; returns False when the walk is done."""
@@ -321,8 +333,9 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
 def segment_batch(tasks, config: SegmentationConfig, jobs: int = 1) -> list:
     """Segment the tips of (volume, plane, tips, d_tols) tasks.
 
-    Each tip is estimated once and walked once per d_tol.  Returns per task
-    one (outcomes, seconds) pair per tip: for each d_tol a Trajectory or the
+    Each tip is estimated once and walked once per d_tol, and a cone that
+    several of its walks repeat is cast once.  Returns per task one
+    (outcomes, seconds) pair per tip: for each d_tol a Trajectory or the
     error text, and the tip's seconds measured inside its worker.  Failures
     never abort the batch, and results keep the input order for any
     ``jobs``; each task's volume is pickled once when ``jobs > 1``.
@@ -348,10 +361,11 @@ def _run_task(work) -> list:
         except Exception as exc:
             outcomes = [error_text(exc)] * len(d_tols)
         else:
+            cones = {}              # this tip's cone candidates, all d_tols
             for d_tol in d_tols:
                 try:
                     outcomes.append(walk(vol, tip, plane,
-                                         replace(config, d_tol=d_tol), est))
+                                         replace(config, d_tol=d_tol), est, cones))
                 except Exception as exc:
                     outcomes.append(error_text(exc))
         results.append((outcomes, time.perf_counter() - t0))

@@ -124,11 +124,11 @@ def run_experiments(bundle, config: SegmentationConfig, jobs: int = 1,
                     experiments=EXPERIMENTS) -> ExperimentReport:
     """Segment every bundle catheter under each gating mode and score it.
 
-    Each catheter is estimated once and walked once per mode.  Per-catheter
-    failures become hd = inf rows (counted as outliers) that keep the error
-    text; the batch never aborts.  Scores come out in a fixed (volume,
-    catheter, experiment) order, so reports are byte-reproducible regardless
-    of jobs.
+    Each catheter is estimated once and walked once per mode, and a cone
+    that several modes repeat is cast once.  Per-catheter failures become
+    hd = inf rows (counted as outliers) that keep the error text; the batch
+    never aborts.  Scores come out in a fixed (volume, catheter, experiment)
+    order, so reports are byte-reproducible regardless of jobs.
     """
     d_tols = tuple(d_tol for _, d_tol in experiments)
     tasks = [(case.volume, case.seeds.plane, case.seeds.tips, d_tols)

@@ -218,6 +218,20 @@ def test_segment_malformed_seeds_exit_code(tmp_path, capsys, phantom_dir, edit):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    lambda d, ph: ["phantom", "--spec", str(d / "missing.json")],
+    lambda d, ph: ["phantom", "--spec", str(d)],
+    lambda d, ph: ["simulate", "--config", str(d)],
+    lambda d, ph: ["segment", "--volume", str(d),
+                   "--seeds", str(ph / "seeds.json")],
+], ids=["phantom_missing_spec", "phantom_spec_is_dir", "simulate_config_is_dir",
+        "segment_volume_is_dir"])
+def test_unreadable_input_path_exit_code(tmp_path, capsys, phantom_dir, argv):
+    rc = cli.main(argv(tmp_path, phantom_dir) + ["--out-dir", str(tmp_path / "o")])
+    assert rc == cli.EXIT_FORMAT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_segment_partial_failure_exit_code(tmp_path, phantom_dir, monkeypatch):
     calls = {"n": 0}
     real = engine.estimate_model

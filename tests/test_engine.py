@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cathseg.engine import (SegmentationConfig, Trajectory, estimate_model,
-                            gate_candidate, load_trajectory, make_local_frame,
-                            propose_model_point, save_trajectory, segment_catheter)
+from cathseg import engine
+from cathseg.engine import (TAG_COMPROMISE, SegmentationConfig, Trajectory,
+                            estimate_model, gate_candidate, load_trajectory,
+                            make_local_frame, propose_model_point, save_trajectory,
+                            segment_batch, segment_catheter, walk)
 from cathseg.phantom import deflection_at_depth
 from cathseg.volume import Volume3D, distance_to_plane
 
@@ -342,6 +345,68 @@ def test_frames_share_marching_axis_and_stay_deterministic(model, table, bent_ph
     for k in range(1, len(pts)):
         prev = make_local_frame(pts[k - 1] - pts[k], seeds.plane.normal, prev)
         assert np.allclose(prev.r_loc, -seeds.plane.normal, atol=1e-9)
+
+
+def _record_cones(monkeypatch) -> list:
+    """Route the engine's cone searches through a recorder of the exact
+    (apex, base center) bytes of each cone cast."""
+    calls = []
+    real = engine.cone_search
+
+    def recording(vol, cone, mask, step):
+        calls.append((np.asarray(cone.apex).tobytes(),
+                      np.asarray(cone.base_center).tobytes()))
+        return real(vol, cone, mask, step)
+
+    monkeypatch.setattr(engine, "cone_search", recording)
+    return calls
+
+
+def test_batch_casts_each_cone_once_per_tip(config, bent_phantom, monkeypatch):
+    vol, gold, seeds = bent_phantom
+    tip, plane = seeds.tips[0], seeds.plane
+    d_tols = (0.0, math.inf, 1.0)
+    calls = _record_cones(monkeypatch)
+    [[(outcomes, _)]] = segment_batch([(vol, plane, [tip], d_tols)], config)
+    # hybrid leaves the image-only path, so the walks share only a prefix
+    assert TAG_COMPROMISE in outcomes[2].provenance
+    shared = len(calls)
+    assert shared == len(set(calls))
+
+    calls.clear()
+    est = estimate_model(vol, tip, plane, config)
+    for d_tol in d_tols:
+        walk(vol, tip, plane, replace(config, d_tol=d_tol), est)
+    assert shared < len(calls)
+
+    for d_tol, got in zip(d_tols, outcomes):
+        want = segment_catheter(vol, tip, plane, replace(config, d_tol=d_tol))
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.provenance == want.provenance
+        assert got.bezier_control.tobytes() == want.bezier_control.tobytes()
+
+
+def test_batch_cone_memo_is_per_tip_and_never_aliased(config, bent_phantom,
+                                                      monkeypatch):
+    vol, gold, seeds = bent_phantom
+    tip, plane = seeds.tips[0], seeds.plane
+    d_tols = (math.inf, 1.0)
+    calls = _record_cones(monkeypatch)
+    segment_batch([(vol, plane, [tip], d_tols)], config)
+    one_tip = len(calls)
+
+    # the same tip twice: a memo that outlived the first tip would turn
+    # every cone of the second into a hit
+    calls.clear()
+    [[(first, _), (second, _)]] = segment_batch(
+        [(vol, plane, [tip, tip], d_tols)], config)
+    assert len(calls) == 2 * one_tip
+
+    image_only, hybrid = first
+    kept = hybrid.points.copy()
+    image_only.points[:] = np.nan
+    assert hybrid.points.tobytes() == kept.tobytes()
+    assert second[1].points.tobytes() == kept.tobytes()
 
 
 def test_trajectory_json_round_trip(tmp_path, config, bent_phantom):
