@@ -11,14 +11,17 @@ from pathlib import Path
 
 import numpy as np
 
+from cathseg.cli import _checked
 from cathseg.spring import (SpringModelParams, build_model_table,
                             export_table_csv, simulate_forward)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-curves", type=int, default=12)
-    parser.add_argument("--resolution", type=int, default=100)
+    parser.add_argument("--n-curves", default=12,
+                        type=_checked(int, lambda n: n >= 0, "non-negative"))
+    parser.add_argument("--resolution", default=100,
+                        type=_checked(int, lambda n: n >= 2, "at least 2"))
     parser.add_argument("--out-dir", default="model_out")
     args = parser.parse_args()
 

@@ -16,7 +16,8 @@ from cathseg.phantom import standard_benchmark
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", default=42,
+                        type=_checked(int, lambda n: n >= 0, "non-negative"))
     parser.add_argument("--jobs", default=1,
                         type=_checked(int, lambda n: n >= 1, "at least 1"))
     parser.add_argument("--out-dir", default="bench_out")

@@ -9,7 +9,7 @@ from .engine import (EstimateResult, LocalFrame, SegmentationConfig, Trajectory,
                      segment_batch, segment_catheter, walk)
 from .evaluation import (CatheterScore, ExperimentReport, hausdorff,
                          run_experiments, write_scores_csv, write_summary_json)
-from .features import ConeSpec, FeatureMask, cone_search, line_score
+from .features import FeatureMask, cone_search
 from .phantom import (BenchmarkBundle, BloomSpec, CatheterSpec, DistractorSpec,
                       PhantomSpec, force_for_deflection, generate_phantom,
                       standard_benchmark)

@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bezier import fit_bezier, resample_polyline
-from .features import ConeSpec, FeatureMask, cone_search, orthonormal_basis, \
-    ray_sample_spacing
+from .features import FeatureMask, cone_search, orthonormal_basis
 from .spring import ModelTable, SingularConfigurationError, SpringModelParams, \
     lookup, shared_model_table, simulate_backward
 from .volume import BasePlane, Volume3D, distance_to_plane
@@ -55,8 +54,10 @@ class SegmentationConfig:
             raise ValueError("n_c must be at least 3")
         if not self.d_tol >= 0:
             raise ValueError("d_tol must be non-negative")
-        if self.r_cone <= 0:
-            raise ValueError("r_cone must be positive")
+        if not 0 < self.r_cone < math.inf:
+            raise ValueError("r_cone must be positive and finite")
+        if self.n_rays < 1:
+            raise ValueError("n_rays must be at least 1")
 
     def ensure_table(self) -> ModelTable:
         return shared_model_table(self.model)
@@ -194,10 +195,8 @@ def estimate_model(vol: Volume3D, tip, plane: BasePlane,
     warnings = []
 
     base = tip - (a / 2.0) * plane.normal
-    cone = ConeSpec(apex=tuple(tip), base_center=tuple(base),
-                    base_radius=config.r_cone, n_rays=config.n_rays)
-    m_point, best_score, samples = cone_search(vol, cone, config.mask,
-                                               ray_sample_spacing(vol))
+    m_point, best_score, samples = cone_search(vol, tip, base, config.r_cone,
+                                               config.n_rays, config.mask)
     # local contrast: median minus 1st percentile of the sampled center
     # intensities, without touching voxels outside the cone region
     contrast = float(np.median(samples) - np.percentile(samples, 1))
@@ -260,7 +259,6 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
     search reads is then the same, so every result is unchanged.
     """
     tip = np.asarray(tip, dtype=float)
-    step = ray_sample_spacing(vol)
     warnings = list(est.warnings)
     cones = {} if cones is None else cones
 
@@ -290,9 +288,8 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
             return b_mod
         key = (apex.tobytes(), b_mod.tobytes())
         if key not in cones:
-            cone = ConeSpec(apex=tuple(apex), base_center=tuple(b_mod),
-                            base_radius=config.r_cone, n_rays=config.n_rays)
-            cones[key], _, _ = cone_search(vol, cone, config.mask, step)
+            cones[key], _, _ = cone_search(vol, apex, b_mod, config.r_cone,
+                                           config.n_rays, config.mask)
         return cones[key]
 
     def accept(t_k: np.ndarray, candidate: np.ndarray, b_mod: np.ndarray) -> bool:

@@ -163,23 +163,6 @@ def write_scores_csv(report: ExperimentReport, path):
     Path(path).write_text(scores_csv_text(report))
 
 
-def read_scores_csv(path) -> ExperimentReport:
-    scores = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            prov = {}
-            if row["provenance_counts"]:
-                for item in row["provenance_counts"].split(";"):
-                    k, _, v = item.partition(":")
-                    prov[k] = int(v)
-            hd = float(row["hd_mm"])
-            scores.append(CatheterScore(
-                catheter_id=row["catheter_id"], experiment=row["experiment"],
-                hd=hd, n_points=int(row["n_points"]), provenance_counts=prov,
-                failed=not math.isfinite(hd)))
-    return ExperimentReport(scores=scores)
-
-
 def _json_safe(x):
     """Non-finite floats as the strings "inf", "-inf" and "nan"."""
     if isinstance(x, float) and not math.isfinite(x):

@@ -27,28 +27,10 @@ class FeatureMask:
     n_ring_samples: int = 8
 
     def __post_init__(self):
-        if self.ring_radius <= 0:
-            raise ValueError("ring_radius must be positive")
+        if not 0 < self.ring_radius < math.inf:
+            raise ValueError("ring_radius must be positive and finite")
         if self.n_ring_samples < 4:
             raise ValueError("need at least 4 ring samples")
-
-
-@dataclass(frozen=True)
-class ConeSpec:
-    """Search cone: rays from the apex to candidates on the base disc."""
-
-    apex: tuple
-    base_center: tuple
-    base_radius: float
-    n_rays: int = 600
-
-    def __post_init__(self):
-        if self.base_radius < 0:
-            raise ValueError("base_radius must be non-negative")
-        if self.n_rays < 1:
-            raise ValueError("n_rays must be positive")
-        if np.allclose(self.apex, self.base_center):
-            raise ValueError("apex and base_center must differ")
 
 
 def orthonormal_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,18 +66,17 @@ def ray_sample_spacing(vol: Volume3D) -> float:
 
 
 def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
-                mask: FeatureMask, step: float):
-    """Scores for rays apex -> targets[c]; also returns the raw center samples.
+                mask: FeatureMask):
+    """Scores for rays apex -> targets[c], sampled every
+    ``ray_sample_spacing(vol)``; also returns the raw center samples.
 
     Sample positions are composed directly in voxel space: the world-to-voxel
     map is affine, so transforming the apex and the per-ray vectors once is
     enough.
     """
-    apex = np.asarray(apex, dtype=float)
-    targets = np.asarray(targets, dtype=float)
     rays = targets - apex                       # (C, 3) world
     lens = np.linalg.norm(rays, axis=1)
-    n_samp = max(2, int(np.ceil(lens.max() / step)) + 1)
+    n_samp = max(2, int(np.ceil(lens.max() / ray_sample_spacing(vol))) + 1)
     t = np.linspace(0.0, 1.0, n_samp)
 
     u, v = orthonormal_basis(rays)              # per-ray ring basis
@@ -115,31 +96,26 @@ def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
     return scores, i_center
 
 
-def line_score(vol: Volume3D, p_from, p_to, mask: FeatureMask, step: float) -> float:
-    """Mean center-minus-ring response along the segment; lower = darker line."""
-    p_from = np.asarray(p_from, dtype=float)
-    p_to = np.asarray(p_to, dtype=float)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if np.allclose(p_from, p_to):
-        raise ValueError("p_from and p_to must differ")
-    scores, _ = _ray_scores(vol, p_from, p_to[None, :], mask, step)
-    return float(scores[0])
-
-
-def cone_search(vol: Volume3D, cone: ConeSpec, mask: FeatureMask,
-                step: float) -> tuple[np.ndarray, float, np.ndarray]:
+def cone_search(vol: Volume3D, apex, base_center, base_radius: float,
+                n_rays: int, mask: FeatureMask) -> tuple[np.ndarray, float, np.ndarray]:
     """Best candidate on the cone base disc by minimum line score.
 
-    Returns the candidate, its score and the center intensities sampled
-    along every ray, (n_rays, n_samples).  Ties resolve to the candidate
-    nearest the base center, so an uninformative image defers to wherever
-    the base was proposed.
+    Casts ``n_rays`` rays from the apex to a sunflower disc of radius
+    ``base_radius`` about ``base_center``.  Returns the candidate, its score
+    and the center intensities sampled along every ray, (n_rays, n_samples).
+    Ties resolve to the candidate nearest the base center, so an
+    uninformative image defers to wherever the base was proposed.
     """
-    apex = np.asarray(cone.apex, dtype=float)
-    base = np.asarray(cone.base_center, dtype=float)
-    candidates = disc_points(base, base - apex, cone.base_radius, cone.n_rays)
-    scores, samples = _ray_scores(vol, apex, candidates, mask, step)
+    apex = np.asarray(apex, dtype=float)
+    base = np.asarray(base_center, dtype=float)
+    if not base_radius >= 0:
+        raise ValueError("base_radius must be non-negative")
+    if n_rays < 1:
+        raise ValueError("n_rays must be positive")
+    if np.allclose(apex, base):
+        raise ValueError("apex and base_center must differ")
+    candidates = disc_points(base, base - apex, base_radius, n_rays)
+    scores, samples = _ray_scores(vol, apex, candidates, mask)
     best = _pick_minimizer(candidates, scores, base)
     return candidates[best].copy(), float(scores[best]), samples
 

@@ -119,17 +119,10 @@ def _centerline_world(cath: CatheterSpec, model: SpringModelParams,
     reaches the insertion depth, mapped into world coordinates."""
     if not 0 < cath.insertion_depth <= model.total_length:
         raise ValueError("insertion_depth must lie in (0, catheter length]")
-    state = simulate_forward(model, cath.f0)
-    pos = state.positions                       # (n+1, 2) as (a, d)
-    a = pos[:, 0]
-    idx = np.searchsorted(a, cath.insertion_depth)
-    if idx >= len(a):
-        poly2d = pos
-    else:
-        frac = (cath.insertion_depth - a[idx - 1]) / (a[idx] - a[idx - 1])
-        tip = pos[idx - 1] + frac * (pos[idx] - pos[idx - 1])
-        poly2d = np.vstack([pos[:idx], tip])
-
+    poly2d = _forward_to_depth(model, cath.f0, cath.insertion_depth)
+    if poly2d is None:
+        raise ValueError(f"a catheter bent by f0 = {cath.f0} uN never reaches "
+                         f"insertion_depth {cath.insertion_depth} mm")
     u, v = in_plane
     lateral = math.cos(cath.deflection_azimuth) * u + math.sin(cath.deflection_azimuth) * v
     entry = plane.point + cath.entry_point[0] * u + cath.entry_point[1] * v
@@ -261,19 +254,28 @@ def generate_phantom(spec: PhantomSpec,
     return vol, gold, seeds
 
 
+def _forward_to_depth(model: SpringModelParams, f0: float,
+                      depth: float) -> np.ndarray | None:
+    """Forward-model (a, d) polyline from the base to where it crosses plane
+    depth ``depth`` > 0, its last point interpolated there; None when the
+    catheter never reaches that depth."""
+    pos = simulate_forward(model, f0).positions     # (n+1, 2), a increasing
+    a = pos[:, 0]
+    if not a[-1] >= depth:
+        return None
+    i = int(np.searchsorted(a, depth))
+    frac = (depth - a[i - 1]) / (a[i] - a[i - 1])
+    pos[i] = pos[i - 1] + frac * (pos[i] - pos[i - 1])    # pos is our own copy
+    return pos[:i + 1]
+
+
 def deflection_at_depth(model: SpringModelParams, f0: float, depth: float) -> float | None:
     """Lateral deflection where the forward catheter crosses plane depth; None
     when the catheter never reaches it."""
-    state = simulate_forward(model, f0)
-    a = state.positions[:, 0]
-    if a[-1] < depth:
-        return None
-    i = int(np.searchsorted(a, depth))
-    if i == 0:
+    if depth <= 0:
         return 0.0
-    frac = (depth - a[i - 1]) / (a[i] - a[i - 1])
-    return float(state.positions[i - 1, 1] + frac * (state.positions[i, 1]
-                                                     - state.positions[i - 1, 1]))
+    poly2d = _forward_to_depth(model, f0, depth)
+    return None if poly2d is None else float(poly2d[-1, 1])
 
 
 def force_for_deflection(model: SpringModelParams, depth: float,

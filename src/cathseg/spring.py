@@ -55,12 +55,12 @@ class SpringModelParams:
     total_length: float = 187.0  # mm
 
     def __post_init__(self):
-        if self.k_a <= 0:
-            raise ValueError("k_a must be positive")
+        if not 0 < self.k_a < math.inf:
+            raise ValueError("k_a must be positive and finite")
         if self.n_seg < 2:
             raise ValueError("n_seg must be at least 2")
-        if self.total_length <= 0:
-            raise ValueError("total_length must be positive")
+        if not 0 < self.total_length < math.inf:
+            raise ValueError("total_length must be positive and finite")
 
     @property
     def seg_length(self) -> float:
@@ -214,7 +214,6 @@ class ModelTable:
     a_nodes: np.ndarray
     d_nodes: np.ndarray
     f_max: float
-    params: SpringModelParams
 
     @property
     def resolution(self) -> int:
@@ -285,7 +284,7 @@ def build_model_table(params: SpringModelParams, f_samples: int = 200,
     np.maximum.accumulate(f_grid, axis=1, out=f_grid)
 
     return ModelTable(f_grid=f_grid, alpha_grid=alpha_grid, a_nodes=a_nodes,
-                      d_nodes=d_nodes, f_max=f_max, params=params)
+                      d_nodes=d_nodes, f_max=f_max)
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,8 @@ from cathseg import cli, engine
 from cathseg.engine import load_trajectory
 from cathseg.phantom import CatheterSpec, DistractorSpec, PhantomSpec, \
     save_phantom_spec
-from cathseg.spring import SpringModelParams, build_model_table, lookup, \
-    simulate_forward
+from cathseg.spring import SpringModelParams, build_model_table, \
+    find_max_force, lookup, simulate_forward
 from cathseg.volume import load_volume, sample_trilinear
 
 
@@ -63,8 +66,12 @@ def test_simulate_writes_table_and_curves(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("doc", [{"bogus": 1}, {"n_c": "8"}],
-                         ids=["unknown_key", "string_bool"])
+@pytest.mark.parametrize("doc", [
+    {"bogus": 1}, {"n_c": "8"}, {"n_rays": 0}, {"r_cone": "inf"},
+    {"r_cone": math.nan}, {"k_a": "inf"}, {"ring_radius": math.nan},
+    {"total_length": "inf"}],
+    ids=["unknown_key", "string_bool", "n_rays_0", "r_cone_inf", "r_cone_nan",
+         "k_a_inf", "ring_radius_nan", "total_length_inf"])
 def test_simulate_config_error_exit_code(tmp_path, capsys, doc):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
@@ -117,8 +124,13 @@ def test_phantom_bad_spec_exit_code(tmp_path):
     PhantomSpec(dims=(32, 32, 32), catheters=[CatheterSpec(
         f0=0.0, insertion_depth=-5.0, deflection_azimuth=0.0,
         entry_point=(0.0, 0.0))]),
+    # bent this far, the catheter ends 94.9 mm from the plane
+    PhantomSpec(dims=(32, 32, 32), catheters=[CatheterSpec(
+        f0=0.5 * find_max_force(SpringModelParams()), insertion_depth=180.0,
+        deflection_azimuth=0.0, entry_point=(0.0, 0.0))]),
 ], ids=["insertion_beyond_length", "unknown_distractor_kind", "empty_dims",
-        "zero_spacing", "zero_insertion_depth", "negative_insertion_depth"])
+        "zero_spacing", "zero_insertion_depth", "negative_insertion_depth",
+        "depth_never_reached"])
 def test_phantom_invalid_spec_exit_code(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     save_phantom_spec(spec, path)
@@ -337,6 +349,23 @@ def test_out_of_range_flags_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert not (tmp_path / "o").exists()
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script,flags", [
+    ("plot_model_table.py", ["--n-curves", "-1"]),
+    ("plot_model_table.py", ["--resolution", "1"]),
+    ("run_benchmark.py", ["--seed", "-1"])],
+    ids=["plot_n_curves_-1", "plot_resolution_1", "bench_seed_-1"])
+def test_script_out_of_range_flags_exit_2(tmp_path, monkeypatch, script, flags):
+    monkeypatch.setattr(sys, "argv", [script, "--out-dir", str(tmp_path / "o")]
+                        + flags)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert exc.value.code == cli.EXIT_USAGE
     assert not (tmp_path / "o").exists()
 

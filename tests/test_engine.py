@@ -167,6 +167,17 @@ def test_estimate_tip_behind_plane(config, bent_phantom):
         estimate_model(vol, behind, seeds.plane, config)
 
 
+def test_batch_tip_just_distal_of_plane_fails_in_cone_search(config, bent_phantom):
+    """A tip 1e-9 mm distal of the plane puts the init cone's base on its
+    apex: every mode of that tip fails with the cone's own reason."""
+    vol, gold, seeds = bent_phantom
+    tip = seeds.plane.point + 1e-9 * seeds.plane.normal
+    assert distance_to_plane(seeds.plane, tip) > 0
+    [[(outcomes, _)]] = segment_batch(
+        [(vol, seeds.plane, [tip], (0.0, math.inf, 1.0))], config)
+    assert outcomes == ["ValueError: apex and base_center must differ"] * 3
+
+
 def test_estimate_uniform_volume_falls_back(config):
     vol = Volume3D(dims=(64, 64, 64), spacing=(1.0, 1.0, 1.0), origin=(0, 0, 0),
                    axis_directions=np.eye(3),
@@ -353,10 +364,10 @@ def _record_cones(monkeypatch) -> list:
     calls = []
     real = engine.cone_search
 
-    def recording(vol, cone, mask, step):
-        calls.append((np.asarray(cone.apex).tobytes(),
-                      np.asarray(cone.base_center).tobytes()))
-        return real(vol, cone, mask, step)
+    def recording(vol, apex, base_center, *rest):
+        calls.append((np.asarray(apex).tobytes(),
+                      np.asarray(base_center).tobytes()))
+        return real(vol, apex, base_center, *rest)
 
     monkeypatch.setattr(engine, "cone_search", recording)
     return calls
@@ -426,5 +437,8 @@ def test_config_validation(model, table):
         SegmentationConfig(n_c=2, model=model)
     with pytest.raises(ValueError):
         SegmentationConfig(d_tol=-1.0, model=model)
-    with pytest.raises(ValueError):
-        SegmentationConfig(r_cone=0.0, model=model)
+    for bad in [{"r_cone": 0.0}, {"r_cone": math.inf}, {"r_cone": math.nan},
+                {"n_rays": 0}, {"d_tol": math.nan}]:
+        with pytest.raises(ValueError):
+            SegmentationConfig(model=model, **bad)
+    assert SegmentationConfig(d_tol=math.inf, model=model).d_tol == math.inf

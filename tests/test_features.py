@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cathseg.features import (ConeSpec, FeatureMask, cone_search, disc_points,
-                              line_score, orthonormal_basis)
+from cathseg.features import (FeatureMask, cone_search, disc_points,
+                              orthonormal_basis)
 from cathseg.volume import Volume3D, sample_trilinear
 
 
@@ -26,44 +26,48 @@ def uniform_volume(value=50.0, dims=(40, 40, 30)):
 
 
 MASK = FeatureMask()
-STEP = 0.25
+
+
+def ray_score(vol, p_from, p_to):
+    """Line score of the one ray p_from -> p_to: a one-ray, radius-0 cone."""
+    return cone_search(vol, p_from, p_to, 0.0, 1, MASK)[1]
 
 
 def test_uniform_volume_scores_zero():
     vol = uniform_volume()
-    s = line_score(vol, (5.0, 5.0, 2.0), (12.0, 9.0, 20.0), MASK, STEP)
+    s = ray_score(vol, (5.0, 5.0, 2.0), (12.0, 9.0, 20.0))
     assert s == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ray_down_tube_axis_scores_strongly_negative():
     vol = tube_volume()
-    on_axis = line_score(vol, (20.0, 20.0, 5.0), (20.0, 20.0, 50.0), MASK, STEP)
+    on_axis = ray_score(vol, (20.0, 20.0, 5.0), (20.0, 20.0, 50.0))
     assert on_axis < -80.0
     # with the ring on the tube wall itself (tube radius = ring radius) the
     # response weakens but stays clearly negative and axis-selective
     fat = tube_volume(radius=MASK.ring_radius)
-    on_axis_fat = line_score(fat, (20.0, 20.0, 5.0), (20.0, 20.0, 50.0), MASK, STEP)
+    on_axis_fat = ray_score(fat, (20.0, 20.0, 5.0), (20.0, 20.0, 50.0))
     assert on_axis_fat < -30.0
-    off = line_score(fat, (28.0, 20.0, 5.0), (28.0, 20.0, 50.0), MASK, STEP)
+    off = ray_score(fat, (28.0, 20.0, 5.0), (28.0, 20.0, 50.0))
     assert on_axis_fat < off
 
 
 def test_axis_ray_beats_any_off_tube_ray():
     vol = tube_volume()
-    on_axis = line_score(vol, (20.0, 20.0, 5.0), (20.0, 20.0, 50.0), MASK, STEP)
+    on_axis = ray_score(vol, (20.0, 20.0, 5.0), (20.0, 20.0, 50.0))
     rng = np.random.default_rng(8)
     for _ in range(20):
         p0 = rng.uniform((5, 5, 3), (35, 35, 10))
         p1 = rng.uniform((5, 5, 40), (35, 35, 55))
         if min(np.hypot(*(p[:2] - 20.0)) for p in (p0, p1)) < 3.0:
             continue
-        assert line_score(vol, p0, p1, MASK, STEP) > on_axis
+        assert ray_score(vol, p0, p1) > on_axis
 
 
 def test_crossing_ray_scores_worse_than_axis_ray():
     vol = tube_volume()
-    on_axis = line_score(vol, (20.0, 20.0, 5.0), (20.0, 20.0, 50.0), MASK, STEP)
-    crossing = line_score(vol, (10.0, 20.0, 25.0), (30.0, 20.0, 25.0), MASK, STEP)
+    on_axis = ray_score(vol, (20.0, 20.0, 5.0), (20.0, 20.0, 50.0))
+    crossing = ray_score(vol, (10.0, 20.0, 25.0), (30.0, 20.0, 25.0))
     assert crossing > on_axis
 
 
@@ -72,17 +76,9 @@ def test_score_invariant_under_intensity_shift():
     shifted = Volume3D(dims=vol.dims, spacing=vol.spacing, origin=vol.origin,
                        axis_directions=vol.axis_directions, data=vol.data + 37.5)
     p0, p1 = (18.0, 21.0, 6.0), (22.0, 19.0, 48.0)
-    s0 = line_score(vol, p0, p1, MASK, STEP)
-    s1 = line_score(shifted, p0, p1, MASK, STEP)
+    s0 = ray_score(vol, p0, p1)
+    s1 = ray_score(shifted, p0, p1)
     assert s1 == pytest.approx(s0, abs=1e-4)
-
-
-def test_line_score_validation():
-    vol = uniform_volume()
-    with pytest.raises(ValueError):
-        line_score(vol, (1, 1, 1), (1, 1, 1), MASK, STEP)
-    with pytest.raises(ValueError):
-        line_score(vol, (1, 1, 1), (2, 2, 2), MASK, 0.0)
 
 
 def test_disc_points_layout():
@@ -148,19 +144,17 @@ def test_signed_axis_permutation_samples_and_searches_alike(perm, signs):
     pts = rng.uniform(-2.0, extent + 2.0, size=(2000, 3))
     assert np.max(np.abs(sample_trilinear(turned, pts)
                          - sample_trilinear(vol, pts))) < 1e-9
-    cone = ConeSpec(apex=(20.0, 20.0, 10.0), base_center=(21.5, 20.5, 25.0),
-                    base_radius=15.0, n_rays=600)
-    best, score, _ = cone_search(vol, cone, MASK, STEP)
-    best_t, score_t, _ = cone_search(turned, cone, MASK, STEP)
+    cone = ((20.0, 20.0, 10.0), (21.5, 20.5, 25.0), 15.0, 600, MASK)
+    best, score, _ = cone_search(vol, *cone)
+    best_t, score_t, _ = cone_search(turned, *cone)
     assert np.array_equal(best_t, best)
     assert score_t == pytest.approx(score, abs=1e-9)
 
 
 def test_cone_search_finds_tube_on_disc():
     vol = tube_volume()
-    cone = ConeSpec(apex=(20.0, 20.0, 10.0), base_center=(21.5, 20.5, 25.0),
-                    base_radius=15.0, n_rays=600)
-    best, score, _ = cone_search(vol, cone, MASK, STEP)
+    best, score, _ = cone_search(vol, (20.0, 20.0, 10.0), (21.5, 20.5, 25.0),
+                                 15.0, 600, MASK)
     true_pt = np.array([20.0, 20.0, best[2]])
     # within one voxel diagonal of the true centerline crossing
     assert np.linalg.norm(best - true_pt) < np.linalg.norm([0.5, 0.5, 1.0])
@@ -169,28 +163,24 @@ def test_cone_search_finds_tube_on_disc():
 
 def test_cone_search_uniform_volume_returns_center():
     vol = uniform_volume()
-    cone = ConeSpec(apex=(10.0, 10.0, 4.0), base_center=(10.0, 10.0, 16.0),
-                    base_radius=6.0, n_rays=100)
-    best, score, _ = cone_search(vol, cone, MASK, STEP)
-    assert np.allclose(best, cone.base_center, atol=1e-12)
+    base = (10.0, 10.0, 16.0)
+    best, score, _ = cone_search(vol, (10.0, 10.0, 4.0), base, 6.0, 100, MASK)
+    assert np.allclose(best, base, atol=1e-12)
     assert score == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cone_search_zero_radius_returns_base():
     vol = uniform_volume()
-    cone = ConeSpec(apex=(10.0, 10.0, 4.0), base_center=(11.0, 9.0, 16.0),
-                    base_radius=0.0, n_rays=100)
-    best, _, _ = cone_search(vol, cone, MASK, STEP)
-    assert np.allclose(best, cone.base_center, atol=1e-12)
+    base = (11.0, 9.0, 16.0)
+    best, _, _ = cone_search(vol, (10.0, 10.0, 4.0), base, 0.0, 100, MASK)
+    assert np.allclose(best, base, atol=1e-12)
 
 
 def test_cone_search_deterministic(bent_phantom):
     vol, gold, seeds = bent_phantom
-    cone = ConeSpec(apex=tuple(seeds.tips[0]),
-                    base_center=tuple(seeds.tips[0] - np.array([0, 0, 10.0])),
-                    base_radius=12.0, n_rays=300)
-    a = cone_search(vol, cone, MASK, STEP)
-    b = cone_search(vol, cone, MASK, STEP)
+    cone = (seeds.tips[0], seeds.tips[0] - np.array([0, 0, 10.0]), 12.0, 300, MASK)
+    a = cone_search(vol, *cone)
+    b = cone_search(vol, *cone)
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
@@ -200,20 +190,25 @@ def test_cone_search_localization_converges():
     apex = (20.0, 20.0, 10.0)
     base = (21.2, 19.1, 24.0)
     errs = []
-    for n_rays, step in [(120, 0.6), (400, 0.3)]:
-        cone = ConeSpec(apex=apex, base_center=base, base_radius=12.0, n_rays=n_rays)
-        best, _, _ = cone_search(vol, cone, MASK, step)
+    for n_rays in (120, 400):
+        best, _, _ = cone_search(vol, apex, base, 12.0, n_rays, MASK)
         errs.append(np.linalg.norm(best[:2] - np.array([20.0, 20.0])))
     assert errs[1] <= 0.5 * errs[0]
     assert errs[1] < np.linalg.norm([0.5, 0.5, 1.0])
 
 
 def test_cone_spec_validation():
-    with pytest.raises(ValueError):
-        ConeSpec(apex=(0, 0, 0), base_center=(0, 0, 0), base_radius=5.0)
-    with pytest.raises(ValueError):
-        ConeSpec(apex=(0, 0, 0), base_center=(0, 0, 1), base_radius=-1.0)
-    with pytest.raises(ValueError):
-        FeatureMask(ring_radius=0.0)
+    vol = uniform_volume()
+    for apex, base, radius, n_rays, match in [
+            ((1, 1, 1), (1, 1, 1), 5.0, 100, "apex and base_center must differ"),
+            ((1, 1, 1), (1, 1, 1), 0.0, 1, "apex and base_center must differ"),
+            ((1, 1, 1), (1, 1, 2), -1.0, 100, "base_radius must be non-negative"),
+            ((1, 1, 1), (1, 1, 2), float("nan"), 100, "base_radius"),
+            ((1, 1, 1), (1, 1, 2), 5.0, 0, "n_rays must be positive")]:
+        with pytest.raises(ValueError, match=match):
+            cone_search(vol, apex, base, radius, n_rays, MASK)
+    for ring_radius in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="ring_radius"):
+            FeatureMask(ring_radius=ring_radius)
     with pytest.raises(ValueError):
         FeatureMask(n_ring_samples=3)

@@ -214,8 +214,10 @@ def test_table_csv_export(table, tmp_path):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        SpringModelParams(k_a=-1.0)
+    for bad in [{"k_a": -1.0}, {"k_a": math.inf}, {"k_a": math.nan},
+                {"total_length": math.inf}, {"total_length": math.nan}]:
+        with pytest.raises(ValueError):
+            SpringModelParams(**bad)
     with pytest.raises(ValueError):
         SpringModelParams(n_seg=1)
     with pytest.raises(ValueError):
