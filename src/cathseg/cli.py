@@ -242,6 +242,19 @@ def _checked(kind, ok, what: str):
     return parse
 
 
+def _model_field(name: str, kind):
+    """argparse ``type`` for one SpringModelParams field; the dataclass
+    itself checks the range."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            replace(SpringModelParams(), **{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cathseg",
@@ -258,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ph = sub.add_parser("phantom", help="generate a synthetic volume")
     p_ph.add_argument("--spec", required=True, help="phantom spec JSON")
     for f in fields(SpringModelParams):      # --k-a, --n-seg, --total-length
-        p_ph.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                          default=f.default)
+        p_ph.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                          type=_model_field(f.name, type(f.default)))
     p_ph.add_argument("--out-dir", required=True)
 
     p_seg = sub.add_parser("segment", help="segment catheters from seeds")

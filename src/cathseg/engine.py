@@ -213,10 +213,7 @@ def estimate_model(vol: Volume3D, tip, plane: BasePlane,
         alpha0_sum = math.pi / 2 - 1e-3
         warnings.append("alpha0_clamped")
 
-    z_axis = vol.axis_directions[:, 2]
-    alpha_ref = math.acos(float(np.clip(abs(plane.normal @ z_axis), -1.0, 1.0)))
-    denom = max(math.cos(alpha_ref), 1e-12)
-    d = a / denom * math.sin(alpha0_sum)
+    d = a * math.sin(alpha0_sum)     # eq. 4, in the base plane's frame
 
     res = lookup(table, a, d)
     if res.clamped:
@@ -337,7 +334,6 @@ def segment_batch(tasks, config: SegmentationConfig, jobs: int = 1) -> list:
     never abort the batch, and results keep the input order for any
     ``jobs``; each task's volume is pickled once when ``jobs > 1``.
     """
-    config.ensure_table()
     work = [(task, config) for task in tasks]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs,

@@ -105,23 +105,20 @@ def score_catheter(traj: Trajectory, gold: Trajectory, catheter_id: str,
                          provenance_counts=_count_tags(traj.provenance))
 
 
-def _score_outcome(outcome, gold: Trajectory, catheter_id: str, experiment: str,
-                   resample_step: float) -> CatheterScore:
+def _score_outcome(outcome, gold: Trajectory, catheter_id: str,
+                   experiment: str) -> CatheterScore:
     """Score a batch outcome; an error text, or a failure to score, becomes
     an hd = inf row that keeps the reason."""
     if isinstance(outcome, Trajectory):
         try:
-            return score_catheter(outcome, gold, catheter_id, experiment,
-                                  resample_step)
+            return score_catheter(outcome, gold, catheter_id, experiment)
         except Exception as exc:
             outcome = error_text(exc)
     return CatheterScore(catheter_id, experiment, float("inf"), 0, _count_tags([]),
                          failed=True, error=outcome)
 
 
-def run_experiments(bundle, config: SegmentationConfig, jobs: int = 1,
-                    resample_step: float = 0.5,
-                    experiments=EXPERIMENTS) -> ExperimentReport:
+def run_experiments(bundle, config: SegmentationConfig, jobs: int = 1) -> ExperimentReport:
     """Segment every bundle catheter under each gating mode and score it.
 
     Each catheter is estimated once and walked once per mode, and a cone
@@ -130,16 +127,15 @@ def run_experiments(bundle, config: SegmentationConfig, jobs: int = 1,
     never aborts.  Scores come out in a fixed (volume, catheter, experiment)
     order, so reports are byte-reproducible regardless of jobs.
     """
-    d_tols = tuple(d_tol for _, d_tol in experiments)
+    d_tols = tuple(d_tol for _, d_tol in EXPERIMENTS)
     tasks = [(case.volume, case.seeds.plane, case.seeds.tips, d_tols)
              for case in bundle.cases]
     scores = []
     for case, tips in zip(bundle.cases, segment_batch(tasks, config, jobs)):
         for ci, (outcomes, _) in enumerate(tips):
             cid = f"v{case.volume_id:02d}c{ci:02d}"
-            for (exp_name, _), outcome in zip(experiments, outcomes):
-                scores.append(_score_outcome(outcome, case.gold[ci], cid,
-                                             exp_name, resample_step))
+            for (exp_name, _), outcome in zip(EXPERIMENTS, outcomes):
+                scores.append(_score_outcome(outcome, case.gold[ci], cid, exp_name))
     return ExperimentReport(scores=scores)
 
 

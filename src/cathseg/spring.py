@@ -146,9 +146,8 @@ def simulate_backward(params: SpringModelParams, alpha0_sum: float, f0_est: floa
     return SpringState(alpha=alpha, alpha_sum=alpha_sum, force=force, positions=positions)
 
 
-def find_max_force(params: SpringModelParams,
-                   angle_limit: float = MAX_TOTAL_ANGLE) -> float:
-    """Largest tip force whose forward run keeps max |alpha_sum| < angle_limit.
+def find_max_force(params: SpringModelParams) -> float:
+    """Largest tip force whose forward run keeps max |alpha_sum| < MAX_TOTAL_ANGLE.
 
     Deterministic doubling plus bisection; the result brackets the limit to
     relative precision ~1e-12.
@@ -158,12 +157,12 @@ def find_max_force(params: SpringModelParams,
             state = simulate_forward(params, f)
         except OverDeflectionError:
             return False
-        return float(np.max(np.abs(state.alpha_sum))) < angle_limit
+        return float(np.max(np.abs(state.alpha_sum))) < MAX_TOTAL_ANGLE
 
-    start = max(params.k_a * angle_limit / params.n_seg, 1.0)
+    start = max(params.k_a * MAX_TOTAL_ANGLE / params.n_seg, 1.0)
     bracket = bracket_threshold(ok, start, 64)
-    if bracket is None:
-        raise RuntimeError("force sweep failed to find an upper bracket")
+    if bracket is None or bracket[0] == 0.0:
+        raise RuntimeError("force sweep failed to bracket a positive force")
     return bracket[0]
 
 
@@ -205,8 +204,8 @@ class ModelTable:
     an (a, d) node lattice.  Each node stores the tip-effective force of the
     catheter passing through it (smallest such force where several coincide,
     which pins the undeflected axis to F = 0) and the local running angle at
-    that point.  Remaining gaps are filled by 1D linear interpolation along
-    d per a-row, then along a per column.
+    that point.  The force-free d = 0 column gives every a-row a node, so
+    1D linear interpolation along d per a-row fills the remaining gaps.
     """
 
     f_grid: np.ndarray       # (res, res), [a-index, d-index]
@@ -228,16 +227,13 @@ class ModelTable:
         return float(self.d_nodes[0]), float(self.d_nodes[-1])
 
 
-def build_model_table(params: SpringModelParams, f_samples: int = 200,
-                      resolution: int = 100) -> ModelTable:
-    """Sweep forces in [0, f_max] and grid the resulting support points."""
-    if f_samples < 2:
-        raise ValueError("f_samples must be at least 2")
+def build_model_table(params: SpringModelParams, resolution: int = 100) -> ModelTable:
+    """Sweep 200 forces in [0, f_max] and grid the resulting support points."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
 
     f_max = find_max_force(params)
-    forces = np.linspace(0.0, f_max, f_samples)
+    forces = np.linspace(0.0, f_max, 200)
     a_pts, d_pts, f_pts, al_pts = [], [], [], []
     for f0 in forces:
         state = simulate_forward(params, float(f0))
@@ -252,10 +248,7 @@ def build_model_table(params: SpringModelParams, f_samples: int = 200,
     al_pts = np.concatenate(al_pts)
 
     a_nodes = np.linspace(0.0, params.total_length, resolution)
-    d_max = float(d_pts.max())
-    if d_max <= 0:
-        d_max = 1.0
-    d_nodes = np.linspace(0.0, d_max, resolution)
+    d_nodes = np.linspace(0.0, float(d_pts.max()), resolution)
     a_step = a_nodes[1] - a_nodes[0]
     d_step = d_nodes[1] - d_nodes[0]
 
@@ -278,8 +271,8 @@ def build_model_table(params: SpringModelParams, f_samples: int = 200,
     f_grid[:, 0] = 0.0
     alpha_grid[:, 0] = 0.0
 
-    _fill_rows_then_columns(f_grid, d_nodes, a_nodes)
-    _fill_rows_then_columns(alpha_grid, d_nodes, a_nodes)
+    _fill_rows(f_grid, d_nodes)
+    _fill_rows(alpha_grid, d_nodes)
     # the physical map is nondecreasing in d at fixed a; iron out binning ripple
     np.maximum.accumulate(f_grid, axis=1, out=f_grid)
 
@@ -297,21 +290,10 @@ def shared_model_table(params: SpringModelParams) -> ModelTable:
     return table
 
 
-def _fill_rows_then_columns(grid: np.ndarray, d_nodes: np.ndarray, a_nodes: np.ndarray):
-    res = grid.shape[0]
-    nonempty = []
-    for i in range(res):
-        known = ~np.isnan(grid[i])
-        if known.any():
-            grid[i] = np.interp(d_nodes, d_nodes[known], grid[i][known])
-            nonempty.append(i)
-    nonempty = np.asarray(nonempty)
-    if nonempty.size == 0:
-        raise RuntimeError("no support points scattered into the table")
-    empty = np.setdiff1d(np.arange(res), nonempty)
-    if empty.size:
-        for j in range(res):
-            grid[empty, j] = np.interp(a_nodes[empty], a_nodes[nonempty], grid[nonempty, j])
+def _fill_rows(grid: np.ndarray, d_nodes: np.ndarray):
+    for row in grid:
+        known = ~np.isnan(row)
+        row[:] = np.interp(d_nodes, d_nodes[known], row[known])
 
 
 def lookup(table: ModelTable, a: float, d: float) -> LookupResult:

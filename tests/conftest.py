@@ -19,7 +19,7 @@ def table(model):
 
 
 @pytest.fixture(scope="session")
-def config(model, table):
+def config(model):
     return SegmentationConfig(model=model)
 
 

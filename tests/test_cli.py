@@ -342,9 +342,13 @@ def test_evaluate_invalid_trajectory_exit_code(tmp_path, capsys, phantom_dir, co
      "--resample-step", step] for step in ("0", "nan", "-1", "inf")
 ] + [["simulate", "--out-dir", "o", "--n-curves", "-1"]] + [
     ["segment", "--volume", "v", "--seeds", "s", "--out-dir", "o",
-     "--jobs", jobs] for jobs in ("0", "-3")],
+     "--jobs", jobs] for jobs in ("0", "-3")] + [
+    ["phantom", "--spec", "s", "--out-dir", "o", flag, value]
+    for flag, value in (("--k-a", "-1"), ("--k-a", "nan"), ("--n-seg", "1"),
+                        ("--total-length", "0"))],
     ids=["resample_step_0", "resample_step_nan", "resample_step_-1",
-         "resample_step_inf", "n_curves_-1", "jobs_0", "jobs_-3"])
+         "resample_step_inf", "n_curves_-1", "jobs_0", "jobs_-3",
+         "k_a_-1", "k_a_nan", "n_seg_1", "total_length_0"])
 def test_out_of_range_flags_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -420,6 +420,29 @@ def test_batch_cone_memo_is_per_tip_and_never_aliased(config, bent_phantom,
     assert second[1].points.tobytes() == kept.tobytes()
 
 
+@pytest.mark.parametrize("perm", [(2, 0, 1), (0, 2, 1)], ids=["zxy", "xzy"])
+def test_batch_invariant_under_grid_axis_permutation(config, bent_phantom, perm):
+    """The same world volume stored with world z off the third grid axis (a
+    sagittal NRRD stores (z, x, y)) segments bit-identically in every mode:
+    the estimate and the walk read a volume only through its samples."""
+    vol, gold, seeds = bent_phantom
+    assert np.array_equal(vol.axis_directions, np.eye(3))
+    perm = list(perm)
+    permuted = Volume3D(dims=tuple(np.asarray(vol.dims)[perm]), spacing=vol.spacing[perm],
+                        origin=vol.origin, axis_directions=np.eye(3)[:, perm],
+                        data=vol.data.transpose(perm))
+    d_tols = (0.0, math.inf, 1.0)
+    [[(want, _)], [(got, _)]] = segment_batch(
+        [(v, seeds.plane, seeds.tips, d_tols) for v in (vol, permuted)], config)
+    for a, b in zip(want, got):
+        assert isinstance(b, Trajectory), b
+        assert np.array_equal(a.points, b.points)
+        assert a.provenance == b.provenance
+        assert np.array_equal(a.bezier_control, b.bezier_control)
+        assert a.estimates == b.estimates
+        assert "lookup_clamped" not in b.warnings
+
+
 def test_trajectory_json_round_trip(tmp_path, config, bent_phantom):
     vol, gold, seeds = bent_phantom
     traj = segment_catheter(vol, seeds.tips[0], seeds.plane, config)

@@ -120,6 +120,13 @@ def test_find_max_force_respects_angle_cap(model):
     assert np.max(np.abs(over.alpha_sum)) >= math.radians(80.0) - 1e-6
 
 
+def test_find_max_force_rejects_model_too_soft_for_any_force():
+    """A spring so soft that even the smallest force the bisection tries
+    bends it past the cap would sweep no deflection into the table."""
+    with pytest.raises(RuntimeError, match="positive force"):
+        find_max_force(SpringModelParams(k_a=1e-20))
+
+
 # ---------------------------------------------------------------------------
 # model table
 # ---------------------------------------------------------------------------
