@@ -20,15 +20,13 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-curves", default=12,
                         type=_checked(int, lambda n: n >= 0, "non-negative"))
-    parser.add_argument("--resolution", default=100,
-                        type=_checked(int, lambda n: n >= 2, "at least 2"))
     parser.add_argument("--out-dir", default="model_out")
     args = parser.parse_args()
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = SpringModelParams()
-    table = build_model_table(params, resolution=args.resolution)
+    table = build_model_table(params)
     export_table_csv(table, out / "model_table.csv")
     print(f"f_max = {table.f_max:.1f} uN; table -> {out / 'model_table.csv'}")
 

@@ -116,13 +116,13 @@ def _load_config_arg(args) -> SegmentationConfig:
 
 def cmd_simulate(args, argv) -> int:
     out = Path(args.out_dir)
+    t0 = time.perf_counter()
     try:
         config = _load_config_arg(args)
-    except (OSError, ValueError) as exc:
+        table = config.ensure_table()     # raises for a spring no force loads
+    except (OSError, RuntimeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    t0 = time.perf_counter()
-    table = config.ensure_table()
     export_table_csv(table, out / "model_table.csv")
 
     f_max = table.f_max
@@ -171,7 +171,8 @@ def cmd_segment(args, argv) -> int:
         seeds = load_seeds(args.seeds)
         seeds.validate(vol)
         config = _load_config_arg(args)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        config.ensure_table()             # raises for a spring no force loads
+    except (OSError, KeyError, RuntimeError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
 

@@ -64,16 +64,6 @@ class SegmentationConfig:
 
 
 @dataclass
-class LocalFrame:
-    """Right-handed frame: deflection-plane normal, deflection direction,
-    reference (marching) direction."""
-
-    n_loc: np.ndarray
-    d_loc: np.ndarray
-    r_loc: np.ndarray
-
-
-@dataclass
 class EstimateResult:
     a: float
     d: float
@@ -128,41 +118,30 @@ def load_trajectory(path) -> Trajectory:
     return Trajectory.from_dict(json.loads(Path(path).read_text()))
 
 
-def make_local_frame(l_s, r_ref, prev: LocalFrame | None = None) -> LocalFrame:
-    """Local frame from a segment vector and the reference direction.
+def lateral_direction(step, normal, prev: np.ndarray | None = None) -> np.ndarray:
+    """Unit component of ``step`` across the unit plane ``normal``: the
+    direction in which the bending model deflects the next step.
 
-    The chain n = l x r, d = n x r, r_loc = n x d always yields
-    r_loc = -r_ref exactly, so feeding the distally oriented segment makes
-    the frame march proximally.  Segments parallel to the reference reuse the
-    previous frame, or a fixed axis-aligned one when there is none.
+    A step along the normal (a zero step included) keeps ``prev``, or falls
+    back to a fixed in-plane axis when there is none.
     """
-    l_s = np.asarray(l_s, dtype=float)
-    r_ref = np.asarray(r_ref, dtype=float)
-    norm = np.linalg.norm(l_s)
-    if norm == 0:
-        raise ValueError("segment vector must be non-zero")
-    l_hat = l_s / norm
-    r_hat = r_ref / np.linalg.norm(r_ref)
-    n = np.cross(l_hat, r_hat)
-    if np.linalg.norm(n) < _PARALLEL_EPS:
-        if prev is not None:
-            return prev
-        n = -orthonormal_basis(r_hat)[0]
-    n /= np.linalg.norm(n)
-    d = np.cross(n, r_hat)
-    d /= np.linalg.norm(d)
-    r_loc = np.cross(n, d)
-    return LocalFrame(n_loc=n, d_loc=d, r_loc=r_loc)
+    step = np.asarray(step, dtype=float)
+    side = step - (step @ normal) * normal
+    norm = np.linalg.norm(side)
+    if norm <= _PARALLEL_EPS * np.linalg.norm(step):
+        return prev if prev is not None else orthonormal_basis(normal)[1]
+    return side / norm
 
 
-def propose_model_point(t_k, frame: LocalFrame, alpha_sum_k: float,
+def propose_model_point(t_k, lateral, normal, alpha_sum_k: float,
                         d_seg: float) -> np.ndarray:
-    """One model step of length d_seg from the current cone top."""
+    """One model step of length d_seg from the current cone top, bent by
+    ``alpha_sum_k`` from the proximal normal toward ``lateral``."""
     if abs(alpha_sum_k) >= math.pi / 2:
         raise ValueError("alpha_sum_k must lie strictly inside (-pi/2, pi/2)")
     t_k = np.asarray(t_k, dtype=float)
-    return t_k + d_seg * (frame.d_loc * math.sin(alpha_sum_k)
-                          + frame.r_loc * math.cos(alpha_sum_k))
+    return t_k + d_seg * (math.sin(alpha_sum_k) * lateral
+                          - math.cos(alpha_sum_k) * normal)
 
 
 def gate_candidate(c_img, b_mod, d_tol: float) -> tuple[np.ndarray, str]:
@@ -260,59 +239,46 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
     cones = {} if cones is None else cones
 
     d_seg = est.a / (config.n_c - 1)
-    u_long = est.l_long / np.linalg.norm(est.l_long)
     arcs, alphas, truncated = _angle_profile(config.model, est.alpha0_sum,
                                              est.f0_est, (config.n_c - 1) * d_seg)
     if truncated:
         warnings.append("model_walk_truncated")
-    max_arc = float(arcs[-1])
+    hard = math.pi / 2 - 1e-6
 
     points = [tip]
     tags = [TAG_IMAGE]
-
-    hard = math.pi / 2 - 1e-6
-
-    def walk_angle(arc: float) -> float:
-        if truncated and arc > max_arc:
-            return 0.0
+    # the profile starts at the init cone's angle alpha0_sum, so the first
+    # proposal steps along the estimated long segment
+    step, lateral = est.l_long, None
+    while len(points) < config.n_c:
+        t_k = points[-1]
+        arc = (len(points) - 1) * d_seg
         # the (a, d) model space is one-sided: a tip force never bends the
         # catheter past straight, so the profile may not cross zero; the last
-        # backward entry is also unchecked by the singular guard
-        return min(max(float(np.interp(arc, arcs, alphas)), 0.0), hard)
-
-    def search(apex: np.ndarray, b_mod: np.ndarray):
-        if config.d_tol == 0:
-            return b_mod
-        key = (apex.tobytes(), b_mod.tobytes())
-        if key not in cones:
-            cones[key], _, _ = cone_search(vol, apex, b_mod, config.r_cone,
-                                           config.n_rays, config.mask)
-        return cones[key]
-
-    def accept(t_k: np.ndarray, candidate: np.ndarray, b_mod: np.ndarray) -> bool:
-        """Gate, clip at the base plane; returns False when the walk is done."""
+        # backward entry is also unchecked by the singular guard, and a
+        # truncated profile is straight beyond its end
+        alpha = 0.0 if truncated and arc > arcs[-1] else \
+            min(max(float(np.interp(arc, arcs, alphas)), 0.0), hard)
+        lateral = lateral_direction(step, plane.normal, lateral)
+        b_mod = propose_model_point(t_k, lateral, plane.normal, alpha, d_seg)
+        candidate = b_mod
+        if config.d_tol > 0:
+            key = (t_k.tobytes(), b_mod.tobytes())
+            if key not in cones:
+                cones[key], _, _ = cone_search(vol, t_k, b_mod, config.r_cone,
+                                               config.n_rays, config.mask)
+            candidate = cones[key]
         accepted, tag = gate_candidate(candidate, b_mod, config.d_tol)
         dist = distance_to_plane(plane, accepted)
-        if dist <= 0:
+        if dist <= 0:           # clip the last step at the base plane
             d_k = distance_to_plane(plane, t_k)
             tau = d_k / (d_k - dist) if d_k != dist else 1.0
             accepted = t_k + tau * (accepted - t_k)
         points.append(accepted)
         tags.append(tag)
-        return bool(dist > 0)
-
-    # first iteration: step along the estimated long segment, no model angle yet
-    b0 = tip + d_seg * u_long
-    going = accept(tip, search(tip, b0), b0)
-
-    frame = None
-    while going and len(points) < config.n_c:
-        k = len(points) - 1
-        t_k = points[k]
-        frame = make_local_frame(points[k - 1] - t_k, plane.normal, frame)
-        alpha_k = walk_angle(k * d_seg)
-        b_mod = propose_model_point(t_k, frame, alpha_k, d_seg)
-        going = accept(t_k, search(t_k, b_mod), b_mod)
+        if dist <= 0:
+            break
+        step = accepted - t_k
 
     pts = np.asarray(points)
     # fit against the densified polyline: a square interpolating fit through

@@ -112,7 +112,7 @@ def cone_search(vol: Volume3D, apex, base_center, base_radius: float,
         raise ValueError("base_radius must be non-negative")
     if n_rays < 1:
         raise ValueError("n_rays must be positive")
-    if np.allclose(apex, base):
+    if np.allclose(apex, base, rtol=0):       # absolute: origin-independent
         raise ValueError("apex and base_center must differ")
     candidates = disc_points(base, base - apex, base_radius, n_rays)
     scores, samples = _ray_scores(vol, apex, candidates, mask)

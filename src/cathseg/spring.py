@@ -227,11 +227,10 @@ class ModelTable:
         return float(self.d_nodes[0]), float(self.d_nodes[-1])
 
 
-def build_model_table(params: SpringModelParams, resolution: int = 100) -> ModelTable:
-    """Sweep 200 forces in [0, f_max] and grid the resulting support points."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-
+def build_model_table(params: SpringModelParams) -> ModelTable:
+    """Sweep 200 forces in [0, f_max] and grid the resulting support points
+    on a 100 x 100 (a, d) lattice."""
+    resolution = 100
     f_max = find_max_force(params)
     forces = np.linspace(0.0, f_max, 200)
     a_pts, d_pts, f_pts, al_pts = [], [], [], []

@@ -55,7 +55,7 @@ def test_criterion_1_forward_backward_duality():
 
 def test_criterion_2_model_table_inversion(model):
     t0 = time.perf_counter()
-    table = build_model_table(model, resolution=100)
+    table = build_model_table(model)
     worst = 0.0
     for frac in np.linspace(0.1, 0.9, 20):
         f0 = float(frac * table.f_max)

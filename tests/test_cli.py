@@ -69,9 +69,9 @@ def test_simulate_writes_table_and_curves(tmp_path):
 @pytest.mark.parametrize("doc", [
     {"bogus": 1}, {"n_c": "8"}, {"n_rays": 0}, {"r_cone": "inf"},
     {"r_cone": math.nan}, {"k_a": "inf"}, {"ring_radius": math.nan},
-    {"total_length": "inf"}],
+    {"total_length": "inf"}, {"k_a": 1e-20}],
     ids=["unknown_key", "string_bool", "n_rays_0", "r_cone_inf", "r_cone_nan",
-         "k_a_inf", "ring_radius_nan", "total_length_inf"])
+         "k_a_inf", "ring_radius_nan", "total_length_inf", "k_a_unloadable"])
 def test_simulate_config_error_exit_code(tmp_path, capsys, doc):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
@@ -205,6 +205,18 @@ def test_segment_parallel_manifest_times_are_measured(tmp_path, phantom_dir):
 def test_segment_invalid_dtol_exit_code(tmp_path, phantom_dir, dtol):
     out = tmp_path / "bad_dtol"
     assert _run_segment(phantom_dir, out, ["--dtol", dtol]) == cli.EXIT_FORMAT
+    assert not list(out.glob("trajectory_*.json"))
+
+
+def test_segment_unloadable_spring_exit_code(tmp_path, capsys, phantom_dir):
+    """A spring that every force over-bends has no model table: one input
+    error for the run, not one failure per catheter."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"k_a": 1e-20}))
+    out = tmp_path / "soft"
+    rc = _run_segment(phantom_dir, out, ["--config", str(cfg)])
+    assert rc == cli.EXIT_FORMAT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not list(out.glob("trajectory_*.json"))
 
 
@@ -362,9 +374,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 @pytest.mark.parametrize("script,flags", [
     ("plot_model_table.py", ["--n-curves", "-1"]),
-    ("plot_model_table.py", ["--resolution", "1"]),
     ("run_benchmark.py", ["--seed", "-1"])],
-    ids=["plot_n_curves_-1", "plot_resolution_1", "bench_seed_-1"])
+    ids=["plot_n_curves_-1", "bench_seed_-1"])
 def test_script_out_of_range_flags_exit_2(tmp_path, monkeypatch, script, flags):
     monkeypatch.setattr(sys, "argv", [script, "--out-dir", str(tmp_path / "o")]
                         + flags)

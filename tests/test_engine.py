@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from cathseg import engine
 from cathseg.engine import (TAG_COMPROMISE, SegmentationConfig, Trajectory,
-                            estimate_model, gate_candidate, load_trajectory,
-                            make_local_frame, propose_model_point, save_trajectory,
+                            estimate_model, gate_candidate, lateral_direction,
+                            load_trajectory, propose_model_point, save_trajectory,
                             segment_batch, segment_catheter, walk)
 from cathseg.phantom import deflection_at_depth
 from cathseg.volume import Volume3D, distance_to_plane
@@ -17,69 +17,64 @@ from conftest import single_catheter_phantom
 
 
 # ---------------------------------------------------------------------------
-# local frames
+# lateral direction
 # ---------------------------------------------------------------------------
 
-def test_frame_matches_hand_computed_cross_products():
-    l_s = np.array([math.sin(math.radians(10)), 0.0, math.cos(math.radians(10))])
-    frame = make_local_frame(l_s, np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(frame.n_loc, [0.0, -1.0, 0.0], atol=1e-9)
-    assert np.allclose(frame.d_loc, [-1.0, 0.0, 0.0], atol=1e-9)
-    assert np.allclose(frame.r_loc, [0.0, 0.0, -1.0], atol=1e-9)
+Z = np.array([0.0, 0.0, 1.0])
 
 
-def test_frame_parallel_segment_reuses_previous():
-    r = np.array([0.0, 0.0, 1.0])
-    prev = make_local_frame(np.array([0.2, 0.1, 1.0]), r)
-    frame = make_local_frame(r * 3.0, r, prev)
-    assert frame is prev
-    fixed = make_local_frame(r * 3.0, r, None)
-    assert np.allclose(fixed.r_loc, -r, atol=1e-12)
-    # the fallback frame bends model-only walks toward -x, not +x
-    assert np.allclose(fixed.n_loc, [0.0, -1.0, 0.0], atol=1e-12)
-    assert np.allclose(fixed.d_loc, [-1.0, 0.0, 0.0], atol=1e-12)
+def test_lateral_direction_hand_case():
+    step = -np.array([math.sin(math.radians(10)), 0.0, math.cos(math.radians(10))])
+    assert np.allclose(lateral_direction(step, Z), [-1.0, 0.0, 0.0], atol=1e-12)
 
 
-def test_frame_zero_segment_rejected():
-    with pytest.raises(ValueError):
-        make_local_frame(np.zeros(3), np.array([0.0, 0.0, 1.0]))
+def test_lateral_direction_axial_step_keeps_previous():
+    prev = lateral_direction(np.array([0.2, 0.1, -1.0]), Z)
+    assert lateral_direction(-3.0 * Z, Z, prev) is prev
+    # with no previous direction the fallback is a fixed in-plane axis: it
+    # bends model-only walks toward -x, not +x
+    assert np.array_equal(lateral_direction(-3.0 * Z, Z), [-1.0, 0.0, 0.0])
+
+
+def test_lateral_direction_zero_step_keeps_previous():
+    prev = np.array([0.0, 1.0, 0.0])
+    assert lateral_direction(np.zeros(3), Z, prev) is prev
+    # no division by the zero length: the fixed axis, not NaN
+    assert np.array_equal(lateral_direction(np.zeros(3), Z), [-1.0, 0.0, 0.0])
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_frame_orthonormal_right_handed(seed):
+def test_lateral_direction_unit_and_across_normal(seed):
     rng = np.random.default_rng(seed)
-    l_s = rng.normal(size=3)
-    if np.linalg.norm(l_s) < 1e-3:
+    step = rng.normal(size=3)
+    normal = rng.normal(size=3)
+    if np.linalg.norm(normal) < 1e-3:
         return
-    r = rng.normal(size=3)
-    if np.linalg.norm(r) < 1e-3:
-        return
-    r /= np.linalg.norm(r)
-    frame = make_local_frame(l_s, r)
-    m = np.stack([frame.n_loc, frame.d_loc, frame.r_loc])
-    assert np.allclose(m @ m.T, np.eye(3), atol=1e-9)
-    assert np.allclose(np.cross(frame.n_loc, frame.d_loc), frame.r_loc, atol=1e-9)
-    # the chain always lands the marching axis opposite the reference
-    assert np.allclose(frame.r_loc, -r, atol=1e-9)
+    normal /= np.linalg.norm(normal)
+    lat = lateral_direction(step, normal)
+    assert np.linalg.norm(lat) == pytest.approx(1.0, abs=1e-9)
+    assert abs(lat @ normal) < 1e-9
+    # it points the way the step leaves the normal
+    assert lat @ step > 0.0
 
 
 # ---------------------------------------------------------------------------
 # model step proposal
 # ---------------------------------------------------------------------------
 
+X = np.array([1.0, 0.0, 0.0])
+
+
 def test_propose_straight_step():
-    frame = make_local_frame(np.array([0.1, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
     t_k = np.array([5.0, 6.0, 7.0])
-    p = propose_model_point(t_k, frame, 0.0, 10.0)
-    assert np.allclose(p, t_k + 10.0 * frame.r_loc, atol=1e-12)
+    p = propose_model_point(t_k, X, Z, 0.0, 10.0)
+    assert np.allclose(p, t_k - 10.0 * Z, atol=1e-12)
 
 
 def test_propose_thirty_degree_step():
-    frame = make_local_frame(np.array([0.1, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
-    t_k = np.zeros(3)
-    p = propose_model_point(t_k, frame, math.pi / 6, 10.0)
-    expected = 5.0 * frame.d_loc + 10.0 * math.cos(math.pi / 6) * frame.r_loc
+    p = propose_model_point(np.zeros(3), X, Z, math.pi / 6, 10.0)
+    expected = 5.0 * X - 10.0 * math.cos(math.pi / 6) * Z
     assert np.allclose(p, expected, atol=1e-9)
     assert abs(10.0 * math.cos(math.pi / 6) - 8.660) < 1e-3
 
@@ -87,15 +82,15 @@ def test_propose_thirty_degree_step():
 @given(st.floats(-1.5, 1.5), st.floats(0.1, 30.0))
 @settings(max_examples=100, deadline=None)
 def test_propose_step_length_is_exact(alpha, d_seg):
-    frame = make_local_frame(np.array([0.3, -0.2, 1.0]), np.array([0.0, 0.0, 1.0]))
-    p = propose_model_point(np.zeros(3), frame, alpha, d_seg)
+    lat = lateral_direction(np.array([0.3, -0.2, -1.0]), Z)
+    p = propose_model_point(np.zeros(3), lat, Z, alpha, d_seg)
     assert np.linalg.norm(p) == pytest.approx(d_seg, abs=1e-9)
+    assert p @ Z == pytest.approx(-d_seg * math.cos(alpha), abs=1e-9)
 
 
 def test_propose_rejects_right_angle():
-    frame = make_local_frame(np.array([0.1, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
-        propose_model_point(np.zeros(3), frame, math.pi / 2, 10.0)
+        propose_model_point(np.zeros(3), X, Z, math.pi / 2, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +261,13 @@ def test_segment_model_only_matches_manual_walk(model, table, bent_phantom):
     arcs = np.arange(n_steps + 1) * model.seg_length
 
     pts = [np.asarray(seeds.tips[0], dtype=float)]
-    pts.append(pts[0] + d_seg * est.l_long / np.linalg.norm(est.l_long))
-    frame = None
+    step, lat = est.l_long, None
     while len(pts) < cfg.n_c:
         k = len(pts) - 1
-        frame = make_local_frame(pts[k - 1] - pts[k], seeds.plane.normal, frame)
+        lat = lateral_direction(step, seeds.plane.normal, lat)
         alpha = max(float(np.interp(k * d_seg, arcs, bw.alpha_sum)), 0.0)
-        pts.append(propose_model_point(pts[k], frame, alpha, d_seg))
+        pts.append(propose_model_point(pts[k], lat, seeds.plane.normal, alpha, d_seg))
+        step = pts[-1] - pts[k]
     assert np.allclose(traj.points, np.asarray(pts), atol=1e-9)
     assert traj.provenance[1:] == ["model"] * (cfg.n_c - 1)
 
@@ -345,17 +340,49 @@ def test_segment_hybrid_dominance(model, table, bent_phantom):
 
 
 def test_frames_share_marching_axis_and_stay_deterministic(model, table, bent_phantom):
-    """Consecutive frames differ only by an azimuth turn about the reference
-    axis; the turn is unbounded for near-axial segments (their azimuth is
-    ill-conditioned), so only the shared axis and determinism are asserted."""
+    """Every proposal steps along the one marching axis -normal plus a
+    lateral direction across it.  A model-only walk therefore bends in one
+    plane through the normal: every step keeps the first lateral direction.
+    Gated walks turn it freely (near-axial steps have an ill-conditioned
+    azimuth), so for them only the frame and determinism are asserted."""
     vol, gold, seeds = bent_phantom
-    cfg = SegmentationConfig(d_tol=1.0, model=model)
-    traj = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
-    prev = None
-    pts = traj.points
-    for k in range(1, len(pts)):
-        prev = make_local_frame(pts[k - 1] - pts[k], seeds.plane.normal, prev)
-        assert np.allclose(prev.r_loc, -seeds.plane.normal, atol=1e-9)
+    normal = seeds.plane.normal
+    for d_tol in (0.0, 1.0):
+        cfg = SegmentationConfig(d_tol=d_tol, model=model)
+        traj = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
+        again = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
+        assert np.array_equal(traj.points, again.points)
+        lats = [None]
+        for step in np.diff(traj.points, axis=0):
+            lats.append(lateral_direction(step, normal, lats[-1]))
+        lats = np.array(lats[1:])
+        assert np.allclose(np.linalg.norm(lats, axis=1), 1.0, atol=1e-9)
+        assert np.allclose(lats @ normal, 0.0, atol=1e-9)
+        if d_tol == 0:
+            assert np.allclose(lats, lats[0], atol=1e-9)
+
+
+def test_every_mode_first_point_follows_long_segment(config, bent_phantom,
+                                                     monkeypatch):
+    """The first model proposal lies one model step along the estimated long
+    segment in every mode: the model-only walk accepts it, and the gated
+    walks centre their first cone on it."""
+    vol, gold, seeds = bent_phantom
+    tip = np.asarray(seeds.tips[0], dtype=float)
+    est = estimate_model(vol, tip, seeds.plane, config)
+    assert not est.used_fallback
+    want = tip + est.a / (config.n_c - 1) * est.l_long / np.linalg.norm(est.l_long)
+    calls = _record_cones(monkeypatch)
+    for d_tol in (0.0, 1.0, math.inf):
+        calls.clear()
+        traj = walk(vol, tip, seeds.plane, replace(config, d_tol=d_tol), est)
+        if d_tol == 0:
+            assert not calls
+            first = traj.points[1]
+        else:
+            assert calls[0][0] == tip.tobytes()
+            first = np.frombuffer(calls[0][1])
+        assert np.allclose(first, want, rtol=0, atol=1e-9)
 
 
 def _record_cones(monkeypatch) -> list:

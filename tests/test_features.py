@@ -19,8 +19,8 @@ def tube_volume(radius=0.8, background=100.0, dims=(80, 80, 60),
                     axis_directions=np.eye(3), data=data)
 
 
-def uniform_volume(value=50.0, dims=(40, 40, 30)):
-    return Volume3D(dims=dims, spacing=(0.5, 0.5, 1.0), origin=(0, 0, 0),
+def uniform_volume(value=50.0, dims=(40, 40, 30), origin=(0, 0, 0)):
+    return Volume3D(dims=dims, spacing=(0.5, 0.5, 1.0), origin=origin,
                     axis_directions=np.eye(3),
                     data=np.full(dims, value, dtype=np.float32))
 
@@ -167,6 +167,21 @@ def test_cone_search_uniform_volume_returns_center():
     best, score, _ = cone_search(vol, (10.0, 10.0, 4.0), base, 6.0, 100, MASK)
     assert np.allclose(best, base, atol=1e-12)
     assert score == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("gap,ok", [(1e-3, True), (1e-9, False)])
+def test_cone_search_apex_base_check_ignores_world_origin(gap, ok):
+    """The same apex-to-base gap passes or fails alike near the world origin
+    and 500 mm away from it."""
+    for z in (4.0, 500.0):
+        vol = uniform_volume(origin=(0.0, 0.0, z - 4.0))
+        apex, base = (10.0, 10.0, z), (10.0, 10.0, z + gap)
+        if ok:
+            best, _, _ = cone_search(vol, apex, base, 6.0, 50, MASK)
+            assert np.allclose(best, base, rtol=0, atol=1e-12)
+        else:
+            with pytest.raises(ValueError, match="must differ"):
+                cone_search(vol, apex, base, 6.0, 50, MASK)
 
 
 def test_cone_search_zero_radius_returns_base():
