@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Regenerate the standard benchmark and run the three-way experiment.
 
-Writes scores.csv, summary.json and prints a compact per-experiment table.
+Writes scores.csv and summary.json, and prints a compact per-experiment table
+and the median ratio of estimated to true tip force.
 """
 
 import argparse
+import statistics
 import time
 from pathlib import Path
 
@@ -45,6 +47,12 @@ def main():
         print(f"{name:<12} {s['median_mm']:7.2f} {s['mean_mm']:7.2f} "
               f"{s['std_mm']:7.2f} {s['count_hd_gt_2mm']:5d} "
               f"{s['count_hd_gt_3mm']:5d}")
+    # one ratio per catheter: every mode shares the catheter's estimate
+    ratios = {s.catheter_id: s.f0_est / s.f0_true for s in report.scores
+              if s.f0_est is not None and s.f0_true is not None and s.f0_true > 5.0}
+    if ratios:
+        print(f"\nmedian f0_est / f0_true over {len(ratios)} catheters above "
+              f"5 uN: {statistics.median(ratios.values()):.2f}")
     print(f"\nwrote {out / 'scores.csv'} and {out / 'summary.json'}")
 
 

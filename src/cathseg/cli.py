@@ -29,7 +29,8 @@ from .engine import SegmentationConfig, load_trajectory, save_trajectory, \
 from .evaluation import ExperimentReport, score_catheter, write_scores_csv, \
     write_summary_json, write_overlay_json
 from .phantom import generate_phantom, load_phantom_spec
-from .spring import SpringModelParams, export_table_csv, simulate_forward
+from .spring import SpringModelParams, build_model_table, export_table_csv, \
+    find_max_force, simulate_forward
 from .volume import load_seeds, load_volume, save_seeds, save_volume
 
 EXIT_OK = 0
@@ -119,7 +120,7 @@ def cmd_simulate(args, argv) -> int:
     t0 = time.perf_counter()
     try:
         config = _load_config_arg(args)
-        table = config.ensure_table()     # raises for a spring no force loads
+        table = build_model_table(config.model)  # raises for a spring no force loads
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
@@ -171,7 +172,7 @@ def cmd_segment(args, argv) -> int:
         seeds = load_seeds(args.seeds)
         seeds.validate(vol)
         config = _load_config_arg(args)
-        config.ensure_table()             # raises for a spring no force loads
+        find_max_force(config.model)      # raises for a spring no force loads
     except (OSError, KeyError, RuntimeError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

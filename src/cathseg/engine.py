@@ -24,8 +24,8 @@ import numpy as np
 
 from .bezier import fit_bezier, resample_polyline
 from .features import FeatureMask, cone_search, orthonormal_basis
-from .spring import ModelTable, SingularConfigurationError, SpringModelParams, \
-    lookup, shared_model_table, simulate_backward
+from .spring import ModelTable, SpringModelParams, build_model_table, \
+    cut_at_depth, solve_at_depth
 from .volume import BasePlane, Volume3D, distance_to_plane
 
 _PARALLEL_EPS = 1e-6
@@ -60,22 +60,23 @@ class SegmentationConfig:
             raise ValueError("n_rays must be at least 1")
 
     def ensure_table(self) -> ModelTable:
-        return shared_model_table(self.model)
+        """The model table of ``model``, built afresh; segmentation never
+        reads it, but the benchmark's set-up builds one."""
+        return build_model_table(self.model)
 
 
 @dataclass
 class EstimateResult:
     a: float
-    d: float
     alpha0_sum: float
     f0_est: float
+    catheter: np.ndarray    # forward (a, d) polyline under f0_est cut at a, base first
     l_long: np.ndarray
     used_fallback: bool
     warnings: list
 
     def as_dict(self) -> dict:
-        return {"a": self.a, "d": self.d, "alpha0_sum": self.alpha0_sum,
-                "f0_est": self.f0_est}
+        return {"a": self.a, "alpha0_sum": self.alpha0_sum, "f0_est": self.f0_est}
 
 
 @dataclass
@@ -120,7 +121,7 @@ def load_trajectory(path) -> Trajectory:
 
 def lateral_direction(step, normal, prev: np.ndarray | None = None) -> np.ndarray:
     """Unit component of ``step`` across the unit plane ``normal``: the
-    direction in which the bending model deflects the next step.
+    direction in which the bending model deflects.
 
     A step along the normal (a zero step included) keeps ``prev``, or falls
     back to a fixed in-plane axis when there is none.
@@ -161,16 +162,17 @@ def estimate_model(vol: Volume3D, tip, plane: BasePlane,
                    config: SegmentationConfig) -> EstimateResult:
     """Per-catheter model estimation from one long initialization cone.
 
-    The cone from the tip toward the base covers half the estimated length.
+    The cone from the tip toward the base covers half the tip's depth ``a``.
     If its best score does not beat a flat-image score by a margin of the
     local contrast, the long segment falls back to the straight guess along
-    the reference direction.
+    the reference direction.  The force is the one whose forward catheter,
+    cut at depth ``a``, has its chord from depth ``a/2`` to ``a`` at the
+    long segment's angle ``alpha0_sum`` to the plane normal.
     """
     tip = np.asarray(tip, dtype=float)
     a = float(distance_to_plane(plane, tip))
     if a <= 0:
         raise ValueError("tip must be strictly distal of the base plane")
-    table = config.ensure_table()
     warnings = []
 
     base = tip - (a / 2.0) * plane.normal
@@ -188,34 +190,21 @@ def estimate_model(vol: Volume3D, tip, plane: BasePlane,
 
     u_long = l_long / np.linalg.norm(l_long)
     alpha0_sum = math.acos(float(np.clip(u_long @ (-plane.normal), -1.0, 1.0)))
-    if alpha0_sum >= math.pi / 2 - 1e-6:
-        alpha0_sum = math.pi / 2 - 1e-3
-        warnings.append("alpha0_clamped")
 
-    d = a * math.sin(alpha0_sum)     # eq. 4, in the base plane's frame
+    def chord_short(cut):
+        mid = np.interp(a / 2.0, cut[:, 0], cut[:, 1])
+        return math.atan2(cut[-1, 1] - mid, a / 2.0) < alpha0_sum
 
-    res = lookup(table, a, d)
-    if res.clamped:
-        warnings.append("lookup_clamped")
-    return EstimateResult(a=a, d=d, alpha0_sum=alpha0_sum, f0_est=res.f_est,
+    f0, met = solve_at_depth(config.model, a, chord_short)
+    if not met:
+        warnings.append("chord_beyond_model")
+    catheter = cut_at_depth(config.model, f0, a)
+    if catheter is None:
+        raise ValueError(f"tip lies {a:.6g} mm from the base plane, beyond "
+                         f"the catheter's reach")
+    return EstimateResult(a=a, alpha0_sum=alpha0_sum, f0_est=f0, catheter=catheter,
                           l_long=l_long, used_fallback=used_fallback,
                           warnings=warnings)
-
-
-def _angle_profile(model: SpringModelParams, alpha0_sum: float, f0_est: float,
-                   max_arc: float):
-    """Backward angles at model-segment granularity covering max_arc.
-
-    Returns (arcs, alpha_sums, truncated): when the backward walk hits a
-    singular configuration the profile is truncated there and the engine
-    treats anything beyond as straight.
-    """
-    n_steps = min(model.n_seg, max(1, math.ceil(max_arc / model.seg_length)))
-    try:
-        bw, truncated = simulate_backward(model, alpha0_sum, f0_est, n_steps), False
-    except SingularConfigurationError as exc:
-        bw, truncated = simulate_backward(model, alpha0_sum, f0_est, exc.step), True
-    return np.arange(len(bw.alpha_sum)) * model.seg_length, bw.alpha_sum, truncated
 
 
 def segment_catheter(vol: Volume3D, tip, plane: BasePlane,
@@ -235,31 +224,24 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
     search reads is then the same, so every result is unchanged.
     """
     tip = np.asarray(tip, dtype=float)
-    warnings = list(est.warnings)
     cones = {} if cones is None else cones
 
     d_seg = est.a / (config.n_c - 1)
-    arcs, alphas, truncated = _angle_profile(config.model, est.alpha0_sum,
-                                             est.f0_est, (config.n_c - 1) * d_seg)
-    if truncated:
-        warnings.append("model_walk_truncated")
-    hard = math.pi / 2 - 1e-6
+    # each catheter segment's angle to the normal, at its middle's arc from the tip
+    seg = np.diff(est.catheter, axis=0)[::-1]
+    lengths = np.hypot(seg[:, 0], seg[:, 1])
+    arcs = np.cumsum(lengths) - lengths / 2.0
+    alphas = np.arctan2(seg[:, 1], seg[:, 0])
+
+    # the model catheter bends in one plane: the normal's and the long segment's
+    lateral = lateral_direction(est.l_long, plane.normal)
 
     points = [tip]
     tags = [TAG_IMAGE]
-    # the profile starts at the init cone's angle alpha0_sum, so the first
-    # proposal steps along the estimated long segment
-    step, lateral = est.l_long, None
     while len(points) < config.n_c:
         t_k = points[-1]
-        arc = (len(points) - 1) * d_seg
-        # the (a, d) model space is one-sided: a tip force never bends the
-        # catheter past straight, so the profile may not cross zero; the last
-        # backward entry is also unchecked by the singular guard, and a
-        # truncated profile is straight beyond its end
-        alpha = 0.0 if truncated and arc > arcs[-1] else \
-            min(max(float(np.interp(arc, arcs, alphas)), 0.0), hard)
-        lateral = lateral_direction(step, plane.normal, lateral)
+        # the segment angle at the middle of this step's arc from the tip
+        alpha = float(np.interp((len(points) - 0.5) * d_seg, arcs, alphas))
         b_mod = propose_model_point(t_k, lateral, plane.normal, alpha, d_seg)
         candidate = b_mod
         if config.d_tol > 0:
@@ -278,7 +260,6 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
         tags.append(tag)
         if dist <= 0:
             break
-        step = accepted - t_k
 
     pts = np.asarray(points)
     # fit against the densified polyline: a square interpolating fit through
@@ -287,7 +268,7 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
     control = fit_bezier(resample_polyline(pts, max(d_seg / 8.0, 0.5), len(pts)),
                          min(config.n_c, len(pts)), max_iter=15)
     return Trajectory(points=pts, bezier_control=control, provenance=tags,
-                      estimates=est.as_dict(), warnings=warnings)
+                      estimates=est.as_dict(), warnings=list(est.warnings))
 
 
 def segment_batch(tasks, config: SegmentationConfig, jobs: int = 1) -> list:

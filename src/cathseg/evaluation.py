@@ -34,6 +34,8 @@ class CatheterScore:
     provenance_counts: dict
     failed: bool = False
     error: str | None = None     # why a failed segmentation failed
+    f0_est: float | None = None  # uN, the segmentation's force estimate
+    f0_true: float | None = None  # uN, the phantom's force, where known
 
 
 @dataclass
@@ -102,7 +104,8 @@ def score_catheter(traj: Trajectory, gold: Trajectory, catheter_id: str,
     hd = hausdorff(traj, gold, resample_step)
     return CatheterScore(catheter_id=catheter_id, experiment=experiment, hd=hd,
                          n_points=len(traj.points),
-                         provenance_counts=_count_tags(traj.provenance))
+                         provenance_counts=_count_tags(traj.provenance),
+                         f0_est=traj.estimates.get("f0_est"))
 
 
 def _score_outcome(outcome, gold: Trajectory, catheter_id: str,
@@ -132,10 +135,16 @@ def run_experiments(bundle, config: SegmentationConfig, jobs: int = 1) -> Experi
              for case in bundle.cases]
     scores = []
     for case, tips in zip(bundle.cases, segment_batch(tasks, config, jobs)):
+        # a case seeded with a subset of its spec's catheters has no known
+        # pairing of tips and forces
+        specs = case.spec.catheters
         for ci, (outcomes, _) in enumerate(tips):
             cid = f"v{case.volume_id:02d}c{ci:02d}"
             for (exp_name, _), outcome in zip(EXPERIMENTS, outcomes):
-                scores.append(_score_outcome(outcome, case.gold[ci], cid, exp_name))
+                score = _score_outcome(outcome, case.gold[ci], cid, exp_name)
+                if len(specs) == len(tips):
+                    score.f0_true = specs[ci].f0
+                scores.append(score)
     return ExperimentReport(scores=scores)
 
 
@@ -173,7 +182,7 @@ def summary_json_text(report: ExperimentReport) -> str:
         "raw": [{"catheter_id": s.catheter_id, "experiment": s.experiment,
                  "hd_mm": _json_safe(s.hd), "n_points": s.n_points,
                  "provenance_counts": s.provenance_counts, "failed": s.failed,
-                 "error": s.error}
+                 "error": s.error, "f0_est": s.f0_est, "f0_true": s.f0_true}
                 for s in report.scores],
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"

@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 
 from .bezier import resample_polyline
 from .engine import Trajectory
-from .spring import SpringModelParams, bracket_threshold, simulate_forward
+from .spring import SpringModelParams, cut_at_depth, solve_at_depth
 from .volume import BasePlane, SeedSet, Volume3D
 
 _CENTERLINE_STEP = 0.25  # mm, dense resampling used for distance queries
@@ -119,7 +119,7 @@ def _centerline_world(cath: CatheterSpec, model: SpringModelParams,
     reaches the insertion depth, mapped into world coordinates."""
     if not 0 < cath.insertion_depth <= model.total_length:
         raise ValueError("insertion_depth must lie in (0, catheter length]")
-    poly2d = _forward_to_depth(model, cath.f0, cath.insertion_depth)
+    poly2d = cut_at_depth(model, cath.f0, cath.insertion_depth)
     if poly2d is None:
         raise ValueError(f"a catheter bent by f0 = {cath.f0} uN never reaches "
                          f"insertion_depth {cath.insertion_depth} mm")
@@ -254,44 +254,15 @@ def generate_phantom(spec: PhantomSpec,
     return vol, gold, seeds
 
 
-def _forward_to_depth(model: SpringModelParams, f0: float,
-                      depth: float) -> np.ndarray | None:
-    """Forward-model (a, d) polyline from the base to where it crosses plane
-    depth ``depth`` > 0, its last point interpolated there; None when the
-    catheter never reaches that depth."""
-    pos = simulate_forward(model, f0).positions     # (n+1, 2), a increasing
-    a = pos[:, 0]
-    if not a[-1] >= depth:
-        return None
-    i = int(np.searchsorted(a, depth))
-    frac = (depth - a[i - 1]) / (a[i] - a[i - 1])
-    pos[i] = pos[i - 1] + frac * (pos[i] - pos[i - 1])    # pos is our own copy
-    return pos[:i + 1]
-
-
-def deflection_at_depth(model: SpringModelParams, f0: float, depth: float) -> float | None:
-    """Lateral deflection where the forward catheter crosses plane depth; None
-    when the catheter never reaches it."""
-    if depth <= 0:
-        return 0.0
-    poly2d = _forward_to_depth(model, f0, depth)
-    return None if poly2d is None else float(poly2d[-1, 1])
-
-
 def force_for_deflection(model: SpringModelParams, depth: float,
                          d_target: float) -> float:
     """Tip force whose catheter deflects ``d_target`` mm at ``depth`` mm."""
     if d_target <= 0:
         return 0.0
-
-    def short(f):
-        d = deflection_at_depth(model, f, depth)
-        return d is not None and d < d_target
-
-    bracket = bracket_threshold(short, 1.0, 60)
-    if bracket is None:
+    f0, met = solve_at_depth(model, depth, lambda cut: cut[-1, 1] < d_target)
+    if not met:
         raise ValueError(f"deflection {d_target} mm unreachable at depth {depth} mm")
-    return 0.5 * (bracket[0] + bracket[1])
+    return f0
 
 
 @dataclass

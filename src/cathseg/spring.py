@@ -3,9 +3,10 @@
 A catheter is an array of rigid rods joined by torsional springs.  The
 forward scheme walks from the clamped base with a given tip-effective force
 and yields per-segment deflection angles; the backward scheme starts from a
-(tip) state estimate and walks proximally.  A dense table over (length a,
-lateral deflection d) built from forward sweeps inverts tip positions back
-to the force that produced them.
+(tip) state estimate and walks proximally.  ``solve_at_depth`` inverts the
+forward scheme by bisection on the catheter cut at a plane depth; a dense
+table over (length a, lateral deflection d) built from forward sweeps maps
+tip positions back to the force that produced them for inspection.
 
 Units: forces in uN, the spring constant in uN*m per radian (the recurrence
 ``alpha = F / k_a`` is applied numerically with the lever arm absorbed into
@@ -15,7 +16,6 @@ the force scale), lengths in mm, angles in radians.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,6 +166,45 @@ def find_max_force(params: SpringModelParams) -> float:
     return bracket[0]
 
 
+def cut_at_depth(params: SpringModelParams, f0: float,
+                 depth: float) -> np.ndarray | None:
+    """Forward (a, d) polyline from the base to where it crosses plane depth
+    ``depth`` > 0, its last point interpolated there; None when the catheter
+    never reaches that depth or over-deflects."""
+    if not depth > 0:
+        raise ValueError("depth must be positive")
+    try:
+        pos = simulate_forward(params, f0).positions    # (n+1, 2), a increasing
+    except OverDeflectionError:
+        return None
+    a = pos[:, 0]
+    if not a[-1] >= depth:
+        return None
+    i = int(np.searchsorted(a, depth))
+    frac = (depth - a[i - 1]) / (a[i] - a[i - 1])
+    pos[i] = pos[i - 1] + frac * (pos[i] - pos[i - 1])    # pos is our own copy
+    return pos[:i + 1]
+
+
+def solve_at_depth(params: SpringModelParams, depth: float,
+                   short) -> tuple[float, bool]:
+    """(force, met): the tip force at which ``short(cut)`` stops holding,
+    ``cut`` being the catheter cut at plane depth ``depth``; ``short`` must
+    hold for small forces and fail for large ones.
+
+    ``met`` is False when the catheters stop reaching the depth before
+    ``short`` fails: the force is then the largest tested one that reaches it.
+    """
+    def below(f):
+        cut = cut_at_depth(params, f, depth)
+        return cut is not None and short(cut)
+
+    lo, hi = bracket_threshold(below, 1.0, 60)
+    if cut_at_depth(params, hi, depth) is None:
+        return lo, False
+    return 0.5 * (lo + hi), True
+
+
 def bracket_threshold(below, hi: float, steps: int) -> tuple[float, float] | None:
     """``(lo, hi)`` around the threshold of a predicate that holds below it:
     ``hi`` doubles until ``below(hi)`` fails (None after 200 doublings), then
@@ -277,16 +316,6 @@ def build_model_table(params: SpringModelParams) -> ModelTable:
 
     return ModelTable(f_grid=f_grid, alpha_grid=alpha_grid, a_nodes=a_nodes,
                       d_nodes=d_nodes, f_max=f_max)
-
-
-@functools.lru_cache(maxsize=16)
-def shared_model_table(params: SpringModelParams) -> ModelTable:
-    """``build_model_table(params)`` memoized per process on the model;
-    every caller gets the same table, so its arrays are made read-only."""
-    table = build_model_table(params)
-    for grid in (table.f_grid, table.alpha_grid, table.a_nodes, table.d_nodes):
-        grid.flags.writeable = False
-    return table
 
 
 def _fill_rows(grid: np.ndarray, d_nodes: np.ndarray):

@@ -116,6 +116,8 @@ class BasePlane:
     def __post_init__(self):
         self.point = np.asarray(self.point, dtype=float)
         self.normal = np.asarray(self.normal, dtype=float)
+        if not (np.all(np.isfinite(self.point)) and np.all(np.isfinite(self.normal))):
+            raise ValueError("plane point and normal must be finite")
         n = np.linalg.norm(self.normal)
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"plane normal must be unit length, |n| = {n}")

@@ -128,9 +128,13 @@ def test_phantom_bad_spec_exit_code(tmp_path):
     PhantomSpec(dims=(32, 32, 32), catheters=[CatheterSpec(
         f0=0.5 * find_max_force(SpringModelParams()), insertion_depth=180.0,
         deflection_azimuth=0.0, entry_point=(0.0, 0.0))]),
+    # the forward scheme bends this catheter past pi/2
+    PhantomSpec(dims=(32, 32, 32), catheters=[CatheterSpec(
+        f0=10.0 * find_max_force(SpringModelParams()), insertion_depth=50.0,
+        deflection_azimuth=0.0, entry_point=(0.0, 0.0))]),
 ], ids=["insertion_beyond_length", "unknown_distractor_kind", "empty_dims",
         "zero_spacing", "zero_insertion_depth", "negative_insertion_depth",
-        "depth_never_reached"])
+        "depth_never_reached", "over_deflected"])
 def test_phantom_invalid_spec_exit_code(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     save_phantom_spec(spec, path)
@@ -178,7 +182,7 @@ def test_segment_output_schema(tmp_path, phantom_dir):
     assert all(len(p) == 3 for p in doc["bezier"])
     assert len(doc["provenance"]) == len(doc["points"])
     assert set(doc["provenance"]) <= {"image", "model", "compromise"}
-    assert set(doc["estimates"]) == {"a", "d", "alpha0_sum", "f0_est"}
+    assert set(doc["estimates"]) == {"a", "alpha0_sum", "f0_est"}
 
 
 def test_segment_parallel_jobs_match_serial(tmp_path, phantom_dir):
@@ -230,7 +234,10 @@ def test_segment_missing_volume_exit_code(tmp_path, phantom_dir):
 @pytest.mark.parametrize("edit", [
     lambda doc: doc.update(tips=5),
     lambda doc: doc.update(plane=[0.0, 0.0, 1.0]),
-], ids=["tips_not_a_list", "plane_not_an_object"])
+    lambda doc: doc["plane"].update(normal=[math.nan, 0.0, 1.0]),
+    lambda doc: doc["plane"].update(point=[math.nan, 0.0, 4.0]),
+], ids=["tips_not_a_list", "plane_not_an_object", "plane_normal_nan",
+        "plane_point_nan"])
 def test_segment_malformed_seeds_exit_code(tmp_path, capsys, phantom_dir, edit):
     doc = json.loads((phantom_dir / "seeds.json").read_text())
     edit(doc)
@@ -316,6 +323,9 @@ def test_evaluate_segmented_pipeline(tmp_path, phantom_dir):
     assert rc == 0
     rows = list(csv.DictReader(open(out / "scores.csv")))
     assert all(float(r["hd_mm"]) < 2.0 for r in rows)
+    # evaluate reads trajectories: their estimates, but no phantom truth
+    raw = json.loads((out / "summary.json").read_text())["raw"]
+    assert all(r["f0_est"] > 0.0 and r["f0_true"] is None for r in raw)
 
 
 def test_evaluate_pairing_error(tmp_path, phantom_dir):

@@ -156,7 +156,7 @@ def test_run_experiments_parallel_matches_serial(mini_report, model):
 
 def test_run_experiments_rows_match_single_mode_segmentation(mini_report, model):
     """The estimate shared across modes gives the rows that separate
-    segment_catheter calls per mode give."""
+    segment_catheter calls per mode give, plus the phantom's true force."""
     report, bundle = mini_report
     config = SegmentationConfig(model=model)
     rows = iter(report.scores)
@@ -166,8 +166,8 @@ def test_run_experiments_rows_match_single_mode_segmentation(mini_report, model)
             for exp_name, d_tol in EXPERIMENTS:
                 traj = segment_catheter(case.volume, tip, case.seeds.plane,
                                         replace(config, d_tol=d_tol))
-                assert next(rows) == score_catheter(traj, case.gold[ci], cid,
-                                                    exp_name)
+                want = score_catheter(traj, case.gold[ci], cid, exp_name)
+                assert next(rows) == replace(want, f0_true=case.spec.catheters[ci].f0)
     assert next(rows, None) is None
 
 
@@ -188,13 +188,30 @@ def test_scores_csv_round_trip(tmp_path, mini_report):
 
 
 def test_summary_json_valid_and_recomputable(tmp_path, mini_report):
-    report, _ = mini_report
+    report, bundle = mini_report
     path = tmp_path / "summary.json"
     write_summary_json(report, path)
     doc = json.loads(path.read_text())
     raw_hybrid = [r["hd_mm"] for r in doc["raw"] if r["experiment"] == "hybrid"]
     assert np.median(raw_hybrid) == pytest.approx(
         doc["experiments"]["hybrid"]["median_mm"])
+    # each row pairs the trajectory's force estimate with the phantom's force
+    truth = [c.f0 for case in bundle.cases for c in case.spec.catheters]
+    assert [r["f0_true"] for r in doc["raw"]] == [f for f in truth for _ in EXPERIMENTS]
+    for row, s in zip(doc["raw"], report.scores):
+        assert row["f0_est"] == s.f0_est > 0.0
+
+
+def test_case_seeded_with_a_subset_has_no_true_force(model):
+    """A case whose tips are a subset of its spec's catheters cannot pair a
+    tip with its force: f0_true stays null rather than taking a neighbour's."""
+    case = mini_bundle(model).cases[1]
+    case.seeds.tips = case.seeds.tips[1:]
+    case.gold = case.gold[1:]
+    report = run_experiments(BenchmarkBundle(seed=0, model=model, cases=[case]),
+                             SegmentationConfig(model=model))
+    assert [s.f0_true for s in report.scores] == [None] * len(EXPERIMENTS)
+    assert all(s.f0_est is not None for s in report.scores)
 
 
 def test_failed_catheter_scores_inf(model, table):
@@ -215,6 +232,7 @@ def test_failed_catheter_scores_inf(model, table):
     raw = json.loads(summary_json_text(report))["raw"]
     assert [r["error"] for r in raw if r["failed"]] == [s.error for s in failed]
     assert all(r["error"] is None for r in raw if not r["failed"])
+    assert all(r["f0_est"] is None for r in raw if r["failed"])
 
 
 def test_overlay_export(tmp_path, mini_report, model, table):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from cathseg import phantom
+from cathseg import phantom, spring
 from cathseg.bezier import resample_polyline
 from cathseg.phantom import (BloomSpec, CatheterSpec, DistractorSpec, PhantomSpec,
-                             deflection_at_depth, force_for_deflection,
+                             force_for_deflection,
                              generate_phantom, load_phantom_spec,
                              save_phantom_spec, standard_benchmark)
-from cathseg.spring import simulate_forward
+from cathseg.spring import SpringModelParams, cut_at_depth, simulate_forward
 from cathseg.volume import distance_to_plane
 
 from conftest import single_catheter_phantom
@@ -144,22 +144,31 @@ def test_phantom_spec_json_round_trip(tmp_path):
 def test_force_for_deflection_inverts(model):
     for depth, target in [(74.0, 5.0), (74.0, 12.0), (62.0, 8.0)]:
         f0 = force_for_deflection(model, depth, target)
-        d = deflection_at_depth(model, f0, depth)
+        d = cut_at_depth(model, f0, depth)[-1, 1]
         assert d == pytest.approx(target, abs=1e-6)
     assert force_for_deflection(model, 74.0, 0.0) == 0.0
 
 
+def test_force_for_deflection_unreachable_raises():
+    """The default catheter deflects at most 161.4 mm at 74 mm depth; the
+    bisection then ends where the catheter stops reaching the depth, which
+    is no answer."""
+    with pytest.raises(ValueError, match="unreachable"):
+        force_for_deflection(SpringModelParams(), 74.0, 200.0)
+
+
 def test_force_for_deflection_stops_when_bracket_stops_shrinking(model, monkeypatch):
     calls = []
+    cut = spring.cut_at_depth
 
     def counted(*args):
         calls.append(args)
-        return deflection_at_depth(*args)
+        return cut(*args)
 
-    monkeypatch.setattr(phantom, "deflection_at_depth", counted)
+    monkeypatch.setattr(spring, "cut_at_depth", counted)
     f0 = force_for_deflection(model, 74.0, 5.0)
-    assert len(calls) <= 60
-    assert deflection_at_depth(model, f0, 74.0) == pytest.approx(5.0, abs=1e-6)
+    assert len(calls) <= 61           # the bisection plus one reach check
+    assert cut_at_depth(model, f0, 74.0)[-1, 1] == pytest.approx(5.0, abs=1e-6)
 
 
 def test_benchmark_catheter_count_and_variety(bench42):
