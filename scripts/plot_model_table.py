@@ -1,37 +1,37 @@
 #!/usr/bin/env python3
 """Export the bending-model support points and lookup table; optionally plot.
 
-Produces the catheter fan (one curve per sampled tip force) plus the force
-heat map over the (length, deflection) plane.  The PNG is skipped when
-matplotlib is unavailable.
+Runs ``cathseg simulate`` into the output directory and plots what it
+writes: the catheter fan (one curve per sampled tip force, from
+model_curves.json) plus the force heat map over the (length, deflection)
+plane (from model_table.csv).  The PNG is skipped when matplotlib is
+unavailable.
 """
 
 import argparse
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from cathseg.cli import _checked
-from cathseg.spring import (SpringModelParams, build_model_table,
-                            export_table_csv, simulate_forward)
+from cathseg import cli
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-curves", default=12,
-                        type=_checked(int, lambda n: n >= 0, "non-negative"))
+                        type=cli._checked(int, lambda n: n >= 0, "non-negative"))
     parser.add_argument("--out-dir", default="model_out")
     args = parser.parse_args()
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    params = SpringModelParams()
-    table = build_model_table(params)
-    export_table_csv(table, out / "model_table.csv")
-    print(f"f_max = {table.f_max:.1f} uN; table -> {out / 'model_table.csv'}")
-
-    forces = np.linspace(0.0, 0.95 * table.f_max, args.n_curves)
-    curves = [simulate_forward(params, float(f)).positions for f in forces]
+    rc = cli.main(["simulate", "--n-curves", str(args.n_curves),
+                   "--out-dir", str(out)])
+    if rc != cli.EXIT_OK:
+        sys.exit(rc)
+    doc = json.loads((out / "model_curves.json").read_text())
+    print(f"f_max = {doc['f_max']:.1f} uN; table -> {out / 'model_table.csv'}")
 
     try:
         import matplotlib
@@ -41,18 +41,26 @@ def main():
         print("matplotlib not installed; skipping PNG")
         return
 
+    # rows run over d fastest, then a: one (a, d) node per row
+    a, d, force = np.loadtxt(out / "model_table.csv", delimiter=",", skiprows=1,
+                             usecols=(0, 1, 2), unpack=True)
+    n_d = int(np.count_nonzero(a == a[0]))
+    f_grid = force.reshape(-1, n_d)
+
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(11, 4.5))
-    for f, pos in zip(forces, curves):
+    curves = doc["curves"]
+    for i, curve in enumerate(curves):
+        pos = np.asarray(curve["support_points"])
         ax1.plot(pos[:, 0], pos[:, 1], "o-", ms=2.5, lw=1,
-                 label=f"{f:.0f} uN" if f in (forces[0], forces[-1]) else None)
+                 label=f"{curve['f0']:.0f} uN" if i in (0, len(curves) - 1) else None)
     ax1.set_xlabel("length along reference a [mm]")
     ax1.set_ylabel("deflection d [mm]")
     ax1.set_title("model catheters and support points")
     ax1.legend(loc="upper left", fontsize=8)
     ax1.set_aspect("equal")
 
-    im = ax2.imshow(table.f_grid.T, origin="lower", aspect="auto",
-                    extent=[*table.a_range, *table.d_range], cmap="viridis")
+    im = ax2.imshow(f_grid.T, origin="lower", aspect="auto",
+                    extent=[a[0], a[-1], d[0], d[n_d - 1]], cmap="viridis")
     ax2.set_xlabel("a [mm]")
     ax2.set_ylabel("d [mm]")
     ax2.set_title("interpolated tip-force lookup")

@@ -52,16 +52,16 @@ def fit_bezier(points, n_control: int, max_iter: int = 1000) -> np.ndarray:
 
     t = chord_length_params(points)
     control = _solve(points, t, n_control)
-    prev_res = _max_residual(points, control, t)
+    last_res = _max_residual(points, control, t)
     for _ in range(max_iter):
-        if prev_res < 1e-12:
+        if last_res < 1e-12:
             break
         t = _reparameterize(points, control, t)
         control = _solve(points, t, n_control)
         res = _max_residual(points, control, t)
-        if prev_res - res < 1e-15:
+        if last_res - res < 1e-15:
             break
-        prev_res = res
+        last_res = res
     return control
 
 

@@ -119,18 +119,18 @@ def load_trajectory(path) -> Trajectory:
     return Trajectory.from_dict(json.loads(Path(path).read_text()))
 
 
-def lateral_direction(step, normal, prev: np.ndarray | None = None) -> np.ndarray:
+def lateral_direction(step, normal) -> np.ndarray:
     """Unit component of ``step`` across the unit plane ``normal``: the
     direction in which the bending model deflects.
 
-    A step along the normal (a zero step included) keeps ``prev``, or falls
-    back to a fixed in-plane axis when there is none.
+    A step along the normal (a zero step included) falls back to a fixed
+    in-plane axis.
     """
     step = np.asarray(step, dtype=float)
     side = step - (step @ normal) * normal
     norm = np.linalg.norm(side)
     if norm <= _PARALLEL_EPS * np.linalg.norm(step):
-        return prev if prev is not None else orthonormal_basis(normal)[1]
+        return orthonormal_basis(normal)[1]
     return side / norm
 
 
@@ -253,9 +253,8 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
         accepted, tag = gate_candidate(candidate, b_mod, config.d_tol)
         dist = distance_to_plane(plane, accepted)
         if dist <= 0:           # clip the last step at the base plane
-            d_k = distance_to_plane(plane, t_k)
-            tau = d_k / (d_k - dist) if d_k != dist else 1.0
-            accepted = t_k + tau * (accepted - t_k)
+            d_k = distance_to_plane(plane, t_k)     # > 0: t_k is distal
+            accepted = t_k + d_k / (d_k - dist) * (accepted - t_k)
         points.append(accepted)
         tags.append(tag)
         if dist <= 0:

@@ -75,6 +75,11 @@ class DistractorSpec:
     def __post_init__(self):
         self.p0 = tuple(float(x) for x in self.p0)
         self.p1 = tuple(float(x) for x in self.p1)
+        if not np.all(np.isfinite(self.p0 + self.p1)):
+            raise ValueError("distractor endpoints must be finite")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"distractor radius must be positive and finite, "
+                             f"got {self.radius}")
 
 
 @dataclass
@@ -187,14 +192,6 @@ def _stamp_tube(vol: Volume3D, poly, radius, edge,
         vol.data[vox] = vol.data[vox] + (bloom.rim_gain * bump).astype(np.float32)
 
 
-def _stamp_blob(vol: Volume3D, center, radius, edge):
-    center = np.asarray(center, dtype=float)
-    vox, centers = _near_voxels(vol, center[None, :], radius + edge)
-    dist = np.linalg.norm(centers - center, axis=-1)
-    mult = np.clip((dist - (radius - edge / 2.0)) / edge, 0.0, 1.0)
-    vol.data[vox] = (vol.data[vox] * mult).astype(np.float32)
-
-
 def generate_phantom(spec: PhantomSpec,
                      model: SpringModelParams) -> tuple[Volume3D, list, SeedSet]:
     """Build (volume, gold centerlines, seeds) from a phantom spec."""
@@ -226,12 +223,11 @@ def generate_phantom(spec: PhantomSpec,
                     stacklevel=2)
 
     for d in spec.distractors:
-        if d.kind == "tube":
-            _stamp_tube(vol, np.array([d.p0, d.p1], dtype=float), d.radius, edge)
-        elif d.kind == "blob":
-            _stamp_blob(vol, d.p0, d.radius, edge)
-        else:
+        if d.kind not in ("tube", "blob"):
             raise ValueError(f"unknown distractor kind {d.kind!r}")
+        # a blob is a zero-length tube
+        _stamp_tube(vol, np.array([d.p0, d.p1 if d.kind == "tube" else d.p0]),
+                    d.radius, edge)
 
     for cath, poly in zip(spec.catheters, polylines):
         _stamp_tube(vol, poly, spec.tube_radius, edge,

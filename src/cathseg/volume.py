@@ -28,7 +28,6 @@ _NRRD_DTYPES = {
     "unsigned short": "<u2",
     "uint16": "<u2",
 }
-_NRRD_TYPE_NAME = {"<f4": "float", "<i2": "short", "<u2": "unsigned short"}
 
 
 class VolumeFormatError(ValueError):
@@ -132,6 +131,9 @@ class SeedSet:
 
     def __post_init__(self):
         self.tips = [np.asarray(t, dtype=float) for t in self.tips]
+        for i, t in enumerate(self.tips):
+            if t.shape != (3,):
+                raise ValueError(f"tip {i} must be three coordinates, got shape {t.shape}")
 
     def validate(self, vol: Volume3D):
         for i, t in enumerate(self.tips):
@@ -147,23 +149,13 @@ def distance_to_plane(plane: BasePlane, p) -> float | np.ndarray:
     return (p - plane.point) @ plane.normal
 
 
-def sample_trilinear(vol: Volume3D, p):
-    """Trilinear interpolation of volume intensity at world point(s) ``p``.
-
-    Accepts a single point ``(3,)`` or a batch ``(..., 3)``.  Points outside
-    the voxel-center hull return ``vol.background_intensity`` (the volume
-    maximum), so rays leaving the volume never look like dark voids.
-    """
-    p = np.asarray(p, dtype=float)
-    u = vol.world_to_voxel(p.reshape(-1, 3))
-    vals = sample_voxel(vol, u)
-    if p.ndim == 1:
-        return float(vals[0])
-    return vals.reshape(p.shape[:-1])
-
-
 def sample_voxel(vol: Volume3D, u: np.ndarray):
-    """Trilinear sampling at continuous voxel coordinates (n, 3)."""
+    """Trilinear sampling at continuous voxel coordinates (n, 3).
+
+    Points outside the voxel-center hull return ``vol.background_intensity``
+    (the volume maximum), so rays leaving the volume never look like dark
+    voids.
+    """
     inside = vol._in_hull(u).reshape(-1)
     hi = np.asarray(vol.dims, dtype=float) - 1.0
     coords = np.clip(u.reshape(-1, 3).T, 0.0, hi[:, None])
@@ -186,10 +178,9 @@ def save_volume(vol: Volume3D, path):
     dirs = vol.axis_directions * vol.spacing[None, :]
     def vec(v):
         return "(" + ",".join(repr(float(x)) for x in v) + ")"
-    dtype = np.dtype("<f4")
     lines = [
         "NRRD0004",
-        f"type: {_NRRD_TYPE_NAME[dtype.str]}",
+        "type: float",
         "dimension: 3",
         "sizes: " + " ".join(str(d) for d in vol.dims),
         "space directions: " + " ".join(vec(dirs[:, k]) for k in range(3)),
@@ -197,7 +188,7 @@ def save_volume(vol: Volume3D, path):
         "endian: little",
         "encoding: raw",
     ]
-    payload = np.ascontiguousarray(vol.data.astype(dtype)).tobytes(order="F")
+    payload = np.ascontiguousarray(vol.data.astype("<f4")).tobytes(order="F")
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n\n").encode("ascii"))
         fh.write(payload)

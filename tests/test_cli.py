@@ -14,7 +14,7 @@ from cathseg.phantom import CatheterSpec, DistractorSpec, PhantomSpec, \
     save_phantom_spec
 from cathseg.spring import SpringModelParams, build_model_table, \
     find_max_force, lookup, simulate_forward
-from cathseg.volume import load_volume, sample_trilinear
+from cathseg.volume import load_volume, sample_voxel
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,7 @@ def test_phantom_outputs_and_determinism(tmp_path, phantom_dir):
     # darkest-line probe: gold centerlines run through dark voxels
     for gf in gold_files:
         gold = load_trajectory(gf)
-        vals = sample_trilinear(vol, gold.points[1:-1])
+        vals = sample_voxel(vol, vol.world_to_voxel(gold.points[1:-1]))
         assert np.median(vals) < 25.0
 
     # regenerating from the same spec is bit-identical
@@ -132,12 +132,23 @@ def test_phantom_bad_spec_exit_code(tmp_path):
     PhantomSpec(dims=(32, 32, 32), catheters=[CatheterSpec(
         f0=10.0 * find_max_force(SpringModelParams()), insertion_depth=50.0,
         deflection_azimuth=0.0, entry_point=(0.0, 0.0))]),
+    # JSON text: DistractorSpec refuses to build these
+    '{"dims": [40, 40, 40], "distractors": [{"kind": "tube", '
+    '"p0": [5, 5, 5], "p1": [20, 20, Infinity]}]}',
+    '{"dims": [40, 40, 40], "distractors": [{"kind": "blob", '
+    '"p0": [20, NaN, 20]}]}',
+    '{"dims": [40, 40, 40], "distractors": [{"kind": "blob", '
+    '"p0": [20, 20, 20], "radius": 0}]}',
 ], ids=["insertion_beyond_length", "unknown_distractor_kind", "empty_dims",
         "zero_spacing", "zero_insertion_depth", "negative_insertion_depth",
-        "depth_never_reached", "over_deflected"])
+        "depth_never_reached", "over_deflected", "distractor_end_infinite",
+        "distractor_center_nan", "distractor_radius_zero"])
 def test_phantom_invalid_spec_exit_code(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
-    save_phantom_spec(spec, path)
+    if isinstance(spec, str):
+        path.write_text(spec)
+    else:
+        save_phantom_spec(spec, path)
     out = tmp_path / "o"
     rc = cli.main(["phantom", "--spec", str(path), "--out-dir", str(out)])
     assert rc == cli.EXIT_FORMAT
@@ -236,8 +247,9 @@ def test_segment_missing_volume_exit_code(tmp_path, phantom_dir):
     lambda doc: doc.update(plane=[0.0, 0.0, 1.0]),
     lambda doc: doc["plane"].update(normal=[math.nan, 0.0, 1.0]),
     lambda doc: doc["plane"].update(point=[math.nan, 0.0, 4.0]),
+    lambda doc: doc.update(tips=[[doc["tips"][0]]]),
 ], ids=["tips_not_a_list", "plane_not_an_object", "plane_normal_nan",
-        "plane_point_nan"])
+        "plane_point_nan", "tip_shape_1x3"])
 def test_segment_malformed_seeds_exit_code(tmp_path, capsys, phantom_dir, edit):
     doc = json.loads((phantom_dir / "seeds.json").read_text())
     edit(doc)

@@ -28,17 +28,13 @@ def test_lateral_direction_hand_case():
     assert np.allclose(lateral_direction(step, Z), [-1.0, 0.0, 0.0], atol=1e-12)
 
 
-def test_lateral_direction_axial_step_keeps_previous():
-    prev = lateral_direction(np.array([0.2, 0.1, -1.0]), Z)
-    assert lateral_direction(-3.0 * Z, Z, prev) is prev
-    # with no previous direction the fallback is a fixed in-plane axis: it
-    # bends model-only walks toward -x, not +x
+def test_lateral_direction_axial_step_falls_back():
+    # the fallback is a fixed in-plane axis: it bends model-only walks
+    # toward -x, not +x
     assert np.array_equal(lateral_direction(-3.0 * Z, Z), [-1.0, 0.0, 0.0])
 
 
-def test_lateral_direction_zero_step_keeps_previous():
-    prev = np.array([0.0, 1.0, 0.0])
-    assert lateral_direction(np.zeros(3), Z, prev) is prev
+def test_lateral_direction_zero_step_falls_back():
     # no division by the zero length: the fixed axis, not NaN
     assert np.array_equal(lateral_direction(np.zeros(3), Z), [-1.0, 0.0, 0.0])
 
@@ -146,7 +142,7 @@ def test_gate_algebra_property(seed, kind):
 # model estimation
 # ---------------------------------------------------------------------------
 
-def test_estimate_straight_catheter(model, table, config):
+def test_estimate_straight_catheter(model, config):
     vol, gold, seeds = single_catheter_phantom(model, 0.0)
     est = estimate_model(vol, seeds.tips[0], seeds.plane, config)
     assert est.a == pytest.approx(74.0, abs=1e-9)
@@ -274,7 +270,7 @@ def test_segment_noiseless_phantom_accuracy(config, bent_phantom):
     assert traj.bezier_control.shape == (config.n_c, 3)
 
 
-def test_segment_straight_catheter_clips_to_plane(model, table):
+def test_segment_straight_catheter_clips_to_plane(model):
     vol, gold, seeds = single_catheter_phantom(model, 0.0)
     cfg = SegmentationConfig(model=model)
     traj = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
@@ -303,7 +299,7 @@ def _forward_angle(model, est, arc):
     return float(np.interp(arc, np.cumsum(lengths) - lengths / 2.0, angles))
 
 
-def test_segment_model_only_matches_manual_walk(model, table, bent_phantom):
+def test_segment_model_only_matches_manual_walk(model, bent_phantom):
     """With d_tol = 0 the trajectory is the pure model curve built from the
     estimate's forward catheter, reconstructed here step by step: each step
     takes the catheter's angle at the middle of its arc from the tip, bent
@@ -324,7 +320,7 @@ def test_segment_model_only_matches_manual_walk(model, table, bent_phantom):
     assert traj.provenance[1:] == ["model"] * (cfg.n_c - 1)
 
 
-def test_segment_model_only_ignores_image_beyond_init(model, table, bent_phantom):
+def test_segment_model_only_ignores_image_beyond_init(model, bent_phantom):
     vol, gold, seeds = bent_phantom
     cfg = SegmentationConfig(d_tol=0.0, model=model)
     ref = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
@@ -346,14 +342,14 @@ def est_a(seeds):
     return distance_to_plane(seeds.plane, seeds.tips[0])
 
 
-def test_segment_image_only_has_no_model_tags(config, model, table, bent_phantom):
+def test_segment_image_only_has_no_model_tags(config, model, bent_phantom):
     vol, gold, seeds = bent_phantom
     cfg = SegmentationConfig(d_tol=math.inf, model=model)
     traj = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
     assert set(traj.provenance) == {"image"}
 
 
-def test_segment_step_length_bound(model, table, bent_phantom):
+def test_segment_step_length_bound(model, bent_phantom):
     vol, gold, seeds = bent_phantom
     a = est_a(seeds)
     for d_tol in [0.0, 1.0, math.inf]:
@@ -366,7 +362,7 @@ def test_segment_step_length_bound(model, table, bent_phantom):
         assert np.all(steps > 0)
 
 
-def test_segment_spacing_invariant_gated_modes(model, table, bent_phantom):
+def test_segment_spacing_invariant_gated_modes(model, bent_phantom):
     vol, gold, seeds = bent_phantom
     a = est_a(seeds)
     for d_tol in [0.0, 1.0]:
@@ -377,7 +373,7 @@ def test_segment_spacing_invariant_gated_modes(model, table, bent_phantom):
         assert np.all(steps <= 2.0 * d_seg + 1e-9)
 
 
-def test_segment_hybrid_dominance(model, table, bent_phantom):
+def test_segment_hybrid_dominance(model, bent_phantom):
     """Every gated step stays within d_tol of its model proposal."""
     vol, gold, seeds = bent_phantom
     cfg = SegmentationConfig(d_tol=1.0, model=model)
@@ -391,7 +387,7 @@ def test_segment_hybrid_dominance(model, table, bent_phantom):
     assert np.all(steps <= d_seg + cfg.d_tol + 1e-9)
 
 
-def test_frames_share_marching_axis_and_stay_deterministic(model, table, bent_phantom,
+def test_frames_share_marching_axis_and_stay_deterministic(model, bent_phantom,
                                                            monkeypatch):
     """Every proposal steps along the one marching axis -normal plus the one
     lateral direction of the long segment.  A model-only walk therefore
@@ -415,10 +411,8 @@ def test_frames_share_marching_axis_and_stay_deterministic(model, table, bent_ph
         traj = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
         again = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
         assert np.array_equal(traj.points, again.points)
-        lats = [None]
-        for step in np.diff(traj.points, axis=0):
-            lats.append(lateral_direction(step, normal, lats[-1]))
-        lats = np.array(lats[1:])
+        lats = np.array([lateral_direction(step, normal)
+                         for step in np.diff(traj.points, axis=0)])
         assert np.allclose(np.linalg.norm(lats, axis=1), 1.0, atol=1e-9)
         assert np.allclose(lats @ normal, 0.0, atol=1e-9)
         if d_tol == 0:
@@ -553,7 +547,7 @@ def test_trajectory_json_round_trip(tmp_path, config, bent_phantom):
     assert loaded.estimates == pytest.approx(traj.estimates)
 
 
-def test_config_validation(model, table):
+def test_config_validation(model):
     with pytest.raises(ValueError):
         SegmentationConfig(n_c=2, model=model)
     with pytest.raises(ValueError):

@@ -121,7 +121,7 @@ def mini_bundle(model):
 
 
 @pytest.fixture(scope="module")
-def mini_report(model, table):
+def mini_report(model):
     bundle = mini_bundle(model)
     config = SegmentationConfig(model=model)
     return run_experiments(bundle, config), bundle
@@ -139,7 +139,7 @@ def test_run_experiments_shape_and_scores(mini_report):
     assert stats["hybrid"]["median_mm"] < 1.0
 
 
-def test_run_experiments_deterministic(mini_report, model, table):
+def test_run_experiments_deterministic(mini_report, model):
     report, bundle = mini_report
     config = SegmentationConfig(model=model)
     again = run_experiments(bundle, config)
@@ -214,7 +214,7 @@ def test_case_seeded_with_a_subset_has_no_true_force(model):
     assert all(s.f0_est is not None for s in report.scores)
 
 
-def test_failed_catheter_scores_inf(model, table):
+def test_failed_catheter_scores_inf(model):
     bundle = mini_bundle(model)
     # a seed behind the plane forces a per-catheter estimation failure
     bundle.cases[0].seeds.tips[0] = np.array([32.0, 32.0, 0.5])
@@ -235,7 +235,7 @@ def test_failed_catheter_scores_inf(model, table):
     assert all(r["f0_est"] is None for r in raw if r["failed"])
 
 
-def test_overlay_export(tmp_path, mini_report, model, table):
+def test_overlay_export(tmp_path, mini_report, model):
     report, bundle = mini_report
     from cathseg.engine import segment_catheter
     case = bundle.cases[0]

@@ -3,7 +3,7 @@ import pytest
 
 from cathseg.features import (FeatureMask, cone_search, disc_points,
                               orthonormal_basis)
-from cathseg.volume import Volume3D, sample_trilinear
+from cathseg.volume import Volume3D, sample_voxel
 
 
 def tube_volume(radius=0.8, background=100.0, dims=(80, 80, 60),
@@ -142,8 +142,8 @@ def test_signed_axis_permutation_samples_and_searches_alike(perm, signs):
     rng = np.random.default_rng(6)
     extent = (np.asarray(vol.dims) - 1) * vol.spacing
     pts = rng.uniform(-2.0, extent + 2.0, size=(2000, 3))
-    assert np.max(np.abs(sample_trilinear(turned, pts)
-                         - sample_trilinear(vol, pts))) < 1e-9
+    assert np.max(np.abs(sample_voxel(turned, turned.world_to_voxel(pts))
+                         - sample_voxel(vol, vol.world_to_voxel(pts)))) < 1e-9
     cone = ((20.0, 20.0, 10.0), (21.5, 20.5, 25.0), 15.0, 600, MASK)
     best, score, _ = cone_search(vol, *cone)
     best_t, score_t, _ = cone_search(turned, *cone)

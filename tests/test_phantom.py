@@ -13,7 +13,7 @@ from cathseg.phantom import (BloomSpec, CatheterSpec, DistractorSpec, PhantomSpe
                              generate_phantom, load_phantom_spec,
                              save_phantom_spec, standard_benchmark)
 from cathseg.spring import SpringModelParams, cut_at_depth, simulate_forward
-from cathseg.volume import distance_to_plane
+from cathseg.volume import distance_to_plane, sample_voxel
 
 from conftest import single_catheter_phantom
 
@@ -73,8 +73,7 @@ def test_tube_edge_intensity_monotone(model):
     vals = []
     for r in radii:
         p = np.array([tip[0] + r, tip[1], z_mid])
-        from cathseg.volume import sample_trilinear
-        vals.append(sample_trilinear(vol, p))
+        vals.append(sample_voxel(vol, vol.world_to_voxel(p))[0])
     assert all(b - a > -1e-6 for a, b in zip(vals, vals[1:]))
 
 
@@ -243,12 +242,21 @@ def _stamp_tube_full_box(vol, poly, radius, edge, bloom=None, core_floor=0.0,
 
 
 def _stamp_blob_whole_volume(vol, center, radius, edge):
-    """Brute-force oracle for ``phantom._stamp_blob`` over every voxel."""
+    """Brute-force oracle for a blob, a zero-length tube, over every voxel."""
     data, spacing, origin = vol.data, vol.spacing, vol.origin
     centers = origin + np.moveaxis(np.indices(data.shape), 0, -1) * spacing
     dist = np.linalg.norm(centers - np.asarray(center, dtype=float), axis=-1)
     mult = np.clip((dist - (radius - edge / 2.0)) / edge, 0.0, 1.0)
     data[...] = (data * mult).astype(np.float32)
+
+
+def _stamp_oracle(vol, poly, *args, **kwargs):
+    """``_stamp_tube_full_box``, or ``_stamp_blob_whole_volume`` for a
+    zero-length polyline."""
+    if np.all(poly == poly[0]):
+        _stamp_blob_whole_volume(vol, poly[0], *args, **kwargs)
+    else:
+        _stamp_tube_full_box(vol, poly, *args, **kwargs)
 
 
 @pytest.mark.parametrize("spacing", [(0.5, 0.5, 1.0), (1.0, 0.7, 0.4)],
@@ -277,8 +285,7 @@ def test_stamping_matches_full_box_oracle(model, monkeypatch, spacing, bloom):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fast = generate_phantom(spec, model)[0].data
-        monkeypatch.setattr(phantom, "_stamp_tube", _stamp_tube_full_box)
-        monkeypatch.setattr(phantom, "_stamp_blob", _stamp_blob_whole_volume)
+        monkeypatch.setattr(phantom, "_stamp_tube", _stamp_oracle)
         oracle = generate_phantom(spec, model)[0].data
     assert float(oracle.min()) < 20.0
     assert (float(oracle.max()) > 140.0) == bloom

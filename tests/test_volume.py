@@ -3,7 +3,7 @@ import pytest
 
 from cathseg.volume import (BasePlane, SeedSet, TruncatedVolumeError, Volume3D,
                             VolumeFormatError, distance_to_plane, load_seeds,
-                            load_volume, sample_trilinear, save_seeds, save_volume)
+                            load_volume, sample_voxel, save_seeds, save_volume)
 
 
 def make_volume(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0),
@@ -88,14 +88,16 @@ def test_sample_at_voxel_center_is_exact():
     vol = make_volume(data, spacing=(0.5, 0.8, 1.1), origin=(3.0, -2.0, 7.0))
     for idx in [(0, 0, 0), (5, 4, 3), (2, 3, 1)]:
         p = vol.voxel_to_world(idx)
-        assert sample_trilinear(vol, p) == pytest.approx(float(data[idx]), abs=1e-9)
+        assert sample_voxel(vol, vol.world_to_voxel(p))[0] == pytest.approx(
+            float(data[idx]), abs=1e-9)
 
 
 def test_sample_midpoint_between_voxels():
     data = np.zeros((2, 2, 2), dtype=np.float32)
     data[1, :, :] = 10.0
     vol = make_volume(data)
-    assert sample_trilinear(vol, (0.5, 0.0, 0.0)) == pytest.approx(5.0, abs=1e-12)
+    assert sample_voxel(vol, vol.world_to_voxel((0.5, 0.0, 0.0)))[0] == pytest.approx(
+        5.0, abs=1e-12)
 
 
 def test_sample_reproduces_linear_ramp():
@@ -109,7 +111,7 @@ def test_sample_reproduces_linear_ramp():
     lo = vol.voxel_to_world((0, 0, 0))
     hi = vol.voxel_to_world((nx - 1, ny - 1, nz - 1))
     pts = rng.uniform(lo, hi, size=(500, 3))
-    vals = sample_trilinear(vol, pts)
+    vals = sample_voxel(vol, vol.world_to_voxel(pts))
     assert np.max(np.abs(vals - pts[:, 0])) < 1e-6
 
 
@@ -117,13 +119,13 @@ def test_sample_outside_returns_background():
     data = np.full((4, 4, 4), 7.0, dtype=np.float32)
     data[1, 1, 1] = 42.0
     vol = make_volume(data)
-    assert sample_trilinear(vol, (-5.0, 0.0, 0.0)) == 42.0  # volume max
+    assert sample_voxel(vol, vol.world_to_voxel((-5.0, 0.0, 0.0)))[0] == 42.0  # volume max
 
 
 def test_sample_batch_shapes():
     vol = make_volume(np.ones((4, 4, 4)))
-    out = sample_trilinear(vol, np.ones((3, 5, 3)))
-    assert out.shape == (3, 5)
+    out = sample_voxel(vol, vol.world_to_voxel(np.ones((3, 5, 3))))
+    assert out.shape == (15,)          # one value per point, flattened
     assert np.all(out == 1.0)
 
 
@@ -193,7 +195,7 @@ def test_seed_on_last_voxel_face_is_inside():
     tip = vol.voxel_to_world((9, 4, 4))
     assert vol.world_to_voxel(tip)[0] > 9.0
     assert vol.contains(tip)
-    assert sample_trilinear(vol, tip) == pytest.approx(944.0, abs=1e-6)
+    assert sample_voxel(vol, vol.world_to_voxel(tip))[0] == pytest.approx(944.0, abs=1e-6)
     plane = BasePlane(point=(0.0, 0.0, 13.0), normal=(0.0, 0.0, 1.0))
     SeedSet(tips=[tip], plane=plane).validate(vol)
 
