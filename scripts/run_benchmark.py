@@ -2,6 +2,7 @@
 """Regenerate the standard benchmark and run the three-way experiment.
 
 Writes scores.csv and summary.json, and prints a compact per-experiment table
+(with the number of catheters whose estimate fell back to the straight guess)
 and the median ratio of estimated to true tip force.
 """
 
@@ -42,11 +43,12 @@ def main():
     write_summary_json(report, out / "summary.json")
 
     print(f"\n{'experiment':<12} {'median':>7} {'mean':>7} {'std':>7} "
-          f"{'>2mm':>5} {'>3mm':>5}")
+          f"{'>2mm':>5} {'>3mm':>5} {'fallback':>8}")
     for name, s in report.stats().items():
+        fallbacks = sum(bool(row.used_fallback) for row in report.by_experiment(name))
         print(f"{name:<12} {s['median_mm']:7.2f} {s['mean_mm']:7.2f} "
               f"{s['std_mm']:7.2f} {s['count_hd_gt_2mm']:5d} "
-              f"{s['count_hd_gt_3mm']:5d}")
+              f"{s['count_hd_gt_3mm']:5d} {fallbacks:8d}")
     # one ratio per catheter: every mode shares the catheter's estimate
     ratios = {s.catheter_id: s.f0_est / s.f0_true for s in report.scores
               if s.f0_est is not None and s.f0_true is not None and s.f0_true > 5.0}

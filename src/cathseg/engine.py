@@ -35,6 +35,7 @@ _INIT_MARGIN = 0.1
 TAG_IMAGE = "image"
 TAG_MODEL = "model"
 TAG_COMPROMISE = "compromise"
+WARN_INIT_FALLBACK = "init_fallback_straight"
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def estimate_model(vol: Volume3D, tip, plane: BasePlane,
     used_fallback = best_score >= -_INIT_MARGIN * contrast
     if used_fallback:
         l_long = -(a / 2.0) * plane.normal
-        warnings.append("init_fallback_straight")
+        warnings.append(WARN_INIT_FALLBACK)
     else:
         l_long = m_point - tip
 

@@ -20,7 +20,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .bezier import resample_polyline, sample_curve
-from .engine import SegmentationConfig, Trajectory, error_text, segment_batch
+from .engine import WARN_INIT_FALLBACK, SegmentationConfig, Trajectory, error_text, \
+    segment_batch
 
 EXPERIMENTS = (("model_only", 0.0), ("image_only", math.inf), ("hybrid", 1.0))
 
@@ -36,6 +37,7 @@ class CatheterScore:
     error: str | None = None     # why a failed segmentation failed
     f0_est: float | None = None  # uN, the segmentation's force estimate
     f0_true: float | None = None  # uN, the phantom's force, where known
+    used_fallback: bool | None = None  # the estimate took the straight guess
 
 
 @dataclass
@@ -105,7 +107,8 @@ def score_catheter(traj: Trajectory, gold: Trajectory, catheter_id: str,
     return CatheterScore(catheter_id=catheter_id, experiment=experiment, hd=hd,
                          n_points=len(traj.points),
                          provenance_counts=_count_tags(traj.provenance),
-                         f0_est=traj.estimates.get("f0_est"))
+                         f0_est=traj.estimates.get("f0_est"),
+                         used_fallback=WARN_INIT_FALLBACK in traj.warnings)
 
 
 def _score_outcome(outcome, gold: Trajectory, catheter_id: str,
@@ -182,7 +185,8 @@ def summary_json_text(report: ExperimentReport) -> str:
         "raw": [{"catheter_id": s.catheter_id, "experiment": s.experiment,
                  "hd_mm": _json_safe(s.hd), "n_points": s.n_points,
                  "provenance_counts": s.provenance_counts, "failed": s.failed,
-                 "error": s.error, "f0_est": s.f0_est, "f0_true": s.f0_true}
+                 "error": s.error, "f0_est": s.f0_est, "f0_true": s.f0_true,
+                 "used_fallback": s.used_fallback}
                 for s in report.scores],
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"

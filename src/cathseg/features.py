@@ -4,7 +4,8 @@ Rays are scored by distal-to-proximal line integrals of a center-minus-ring
 response: at each sample along the ray the intensity at the ray is compared
 with the mean intensity on a small ring in the plane orthogonal to the ray.
 Dark cores with bright rims score strongly negative.  A cone search casts
-one ray per candidate point on a disc and keeps the minimizer.
+one ray per candidate point on a disc, coarse to fine, and keeps the
+minimizer.
 """
 
 from __future__ import annotations
@@ -60,39 +61,34 @@ def disc_points(center, normal, radius: float, n: int) -> np.ndarray:
     return np.vstack([center[None, :], center + offsets])
 
 
-def ray_sample_spacing(vol: Volume3D) -> float:
-    """Nyquist-safe line-integral spacing: half the smallest voxel spacing."""
-    return 0.5 * float(np.min(vol.spacing))
-
-
 def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
                 mask: FeatureMask):
-    """Scores for rays apex -> targets[c], sampled every
-    ``ray_sample_spacing(vol)``; also returns the raw center samples.
+    """Scores for rays apex -> targets[c], each sampled every half voxel
+    along its own direction in voxel space; also returns the center samples
+    of all rays as one flat array.
 
     Sample positions are composed directly in voxel space: the world-to-voxel
     map is affine, so transforming the apex and the per-ray vectors once is
-    enough.
+    enough.  The rays' samples form one ragged batch, ray by ray.
     """
     rays = targets - apex                       # (C, 3) world
-    lens = np.linalg.norm(rays, axis=1)
-    n_samp = max(2, int(np.ceil(lens.max() / ray_sample_spacing(vol))) + 1)
-    t = np.linspace(0.0, 1.0, n_samp)
+    rays_v = vol.vector_to_voxel(rays)
+    n_samp = np.maximum(2, np.ceil(2.0 * np.linalg.norm(rays_v, axis=1)).astype(int) + 1)
+    ray_of = np.repeat(np.arange(len(rays)), n_samp)            # (N,)
+    first = np.cumsum(n_samp) - n_samp
+    t = (np.arange(len(ray_of)) - first[ray_of]) / (n_samp - 1)[ray_of]
 
     u, v = orthonormal_basis(rays)              # per-ray ring basis
     ang = 2.0 * math.pi * np.arange(mask.n_ring_samples) / mask.n_ring_samples
     ring = mask.ring_radius * (np.cos(ang)[None, :, None] * u[:, None, :]
                                + np.sin(ang)[None, :, None] * v[:, None, :])  # (C, m, 3)
 
-    apex_v = vol.world_to_voxel(apex)
-    rays_v = vol.vector_to_voxel(rays)
-    ring_v = vol.vector_to_voxel(ring)
-    centers_v = apex_v + t[None, :, None] * rays_v[:, None, :]   # (C, n, 3)
-    ring_pts_v = centers_v[:, :, None, :] + ring_v[:, None, :, :]
+    centers_v = vol.world_to_voxel(apex) + t[:, None] * rays_v[ray_of]      # (N, 3)
+    ring_pts_v = centers_v[:, None, :] + vol.vector_to_voxel(ring)[ray_of]  # (N, m, 3)
 
-    i_center = sample_voxel(vol, centers_v).reshape(centers_v.shape[:2])
-    i_ring = sample_voxel(vol, ring_pts_v).reshape(ring_pts_v.shape[:3]).mean(axis=2)
-    scores = (i_center - i_ring).mean(axis=1)
+    i_center = sample_voxel(vol, centers_v)
+    i_ring = sample_voxel(vol, ring_pts_v).reshape(-1, mask.n_ring_samples).mean(axis=1)
+    scores = np.bincount(ray_of, i_center - i_ring, minlength=len(rays)) / n_samp
     return scores, i_center
 
 
@@ -100,11 +96,14 @@ def cone_search(vol: Volume3D, apex, base_center, base_radius: float,
                 n_rays: int, mask: FeatureMask) -> tuple[np.ndarray, float, np.ndarray]:
     """Best candidate on the cone base disc by minimum line score.
 
-    Casts ``n_rays`` rays from the apex to a sunflower disc of radius
-    ``base_radius`` about ``base_center``.  Returns the candidate, its score
-    and the center intensities sampled along every ray, (n_rays, n_samples).
-    Ties resolve to the candidate nearest the base center, so an
-    uninformative image defers to wherever the base was proposed.
+    Casts the rays coarse to fine from the apex: a sunflower disc of
+    ``max(1, n_rays // 4)`` rays over radius ``base_radius`` about
+    ``base_center``, then ``n_rays // 8`` rays on a disc of the coarse
+    spacing around each of the three best coarse candidates (their centers
+    are not cast twice).  Returns the candidate, its score and the center
+    intensities sampled along every ray cast, as one flat array.  Ties
+    resolve to the candidate nearest the base center, so an uninformative
+    image defers to wherever the base was proposed.
     """
     apex = np.asarray(apex, dtype=float)
     base = np.asarray(base_center, dtype=float)
@@ -114,10 +113,22 @@ def cone_search(vol: Volume3D, apex, base_center, base_radius: float,
         raise ValueError("n_rays must be positive")
     if np.allclose(apex, base, rtol=0):       # absolute: origin-independent
         raise ValueError("apex and base_center must differ")
-    candidates = disc_points(base, base - apex, base_radius, n_rays)
-    scores, samples = _ray_scores(vol, apex, candidates, mask)
+    axis = base - apex
+    n_coarse = max(1, n_rays // 4)
+    coarse = disc_points(base, axis, base_radius, n_coarse)
+    coarse_scores, coarse_samples = _ray_scores(vol, apex, coarse, mask)
+
+    fine_radius = base_radius * math.sqrt(math.pi / n_coarse)   # the coarse spacing
+    best_coarse = coarse[np.argsort(coarse_scores, kind="stable")[:3]]
+    fine = np.vstack([disc_points(c, axis, fine_radius, n_rays // 8 + 1)[1:]
+                      for c in best_coarse])
+    fine_scores, fine_samples = _ray_scores(vol, apex, fine, mask)
+
+    candidates = np.vstack([coarse, fine])
+    scores = np.concatenate([coarse_scores, fine_scores])
     best = _pick_minimizer(candidates, scores, base)
-    return candidates[best].copy(), float(scores[best]), samples
+    return (candidates[best].copy(), float(scores[best]),
+            np.concatenate([coarse_samples, fine_samples]))
 
 
 def _pick_minimizer(candidates, scores, base) -> int:

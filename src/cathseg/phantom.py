@@ -95,6 +95,17 @@ class PhantomSpec:
     rng_seed: int = 0
     plane_offset: float = 4.0    # mm, base plane distance from the volume origin face
 
+    def __post_init__(self):
+        if not 0 < self.tube_radius < math.inf:
+            raise ValueError(f"tube_radius must be positive and finite, "
+                             f"got {self.tube_radius}")
+        if not math.isfinite(self.background_intensity):
+            raise ValueError(f"background_intensity must be finite, "
+                             f"got {self.background_intensity}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and non-negative, "
+                             f"got {self.noise_sigma}")
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 

@@ -139,10 +139,15 @@ def test_phantom_bad_spec_exit_code(tmp_path):
     '"p0": [20, NaN, 20]}]}',
     '{"dims": [40, 40, 40], "distractors": [{"kind": "blob", '
     '"p0": [20, 20, 20], "radius": 0}]}',
+    # JSON text: PhantomSpec refuses to build these
+    '{"dims": [40, 40, 40], "tube_radius": -1}',
+    '{"dims": [40, 40, 40], "background_intensity": NaN}',
+    '{"dims": [40, 40, 40], "noise_sigma": NaN}',
 ], ids=["insertion_beyond_length", "unknown_distractor_kind", "empty_dims",
         "zero_spacing", "zero_insertion_depth", "negative_insertion_depth",
         "depth_never_reached", "over_deflected", "distractor_end_infinite",
-        "distractor_center_nan", "distractor_radius_zero"])
+        "distractor_center_nan", "distractor_radius_zero", "tube_radius_negative",
+        "background_intensity_nan", "noise_sigma_nan"])
 def test_phantom_invalid_spec_exit_code(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     if isinstance(spec, str):

@@ -200,6 +200,19 @@ def test_summary_json_valid_and_recomputable(tmp_path, mini_report):
     assert [r["f0_true"] for r in doc["raw"]] == [f for f in truth for _ in EXPERIMENTS]
     for row, s in zip(doc["raw"], report.scores):
         assert row["f0_est"] == s.f0_est > 0.0
+        assert row["used_fallback"] is s.used_fallback is False
+
+
+def test_fallback_estimate_is_marked_in_every_mode(model):
+    """A flat image gives the init cone nothing to beat, so each catheter's
+    estimate takes the straight guess, and every mode's row says so."""
+    case = mini_bundle(model).cases[0]
+    case.volume = replace(case.volume, data=np.full_like(case.volume.data, 80.0))
+    report = run_experiments(BenchmarkBundle(seed=0, model=model, cases=[case]),
+                             SegmentationConfig(model=model))
+    raw = json.loads(summary_json_text(report))["raw"]
+    assert len(raw) == 2 * len(EXPERIMENTS)
+    assert all(r["used_fallback"] is True and not r["failed"] for r in raw)
 
 
 def test_case_seeded_with_a_subset_has_no_true_force(model):
@@ -233,6 +246,7 @@ def test_failed_catheter_scores_inf(model):
     assert [r["error"] for r in raw if r["failed"]] == [s.error for s in failed]
     assert all(r["error"] is None for r in raw if not r["failed"])
     assert all(r["f0_est"] is None for r in raw if r["failed"])
+    assert all(r["used_fallback"] is None for r in raw if r["failed"])
 
 
 def test_overlay_export(tmp_path, mini_report, model):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cathseg import features
 from cathseg.features import (FeatureMask, cone_search, disc_points,
                               orthonormal_basis)
 from cathseg.volume import Volume3D, sample_voxel
@@ -210,6 +211,40 @@ def test_cone_search_localization_converges():
         errs.append(np.linalg.norm(best[:2] - np.array([20.0, 20.0])))
     assert errs[1] <= 0.5 * errs[0]
     assert errs[1] < np.linalg.norm([0.5, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("axis,samples_per_mm", [(2, 2), (0, 4)], ids=["z", "x"])
+def test_ray_sampled_every_half_voxel_of_its_own_length(monkeypatch, axis,
+                                                        samples_per_mm):
+    """On 0.5 x 0.5 x 1.0 mm voxels a ray of length L draws 2L + 1 samples
+    along z and 4L + 1 along x, each with its ring."""
+    vol = uniform_volume()
+    points = []
+    real = features.sample_voxel
+
+    def counting(v, u):
+        points.append(u.size // 3)
+        return real(v, u)
+
+    monkeypatch.setattr(features, "sample_voxel", counting)
+    length = 10.0
+    apex = np.array([5.0, 5.0, 5.0])
+    cone_search(vol, apex, apex + length * np.eye(3)[axis], 0.0, 1, MASK)
+    assert sum(points) == (samples_per_mm * length + 1) * (1 + MASK.n_ring_samples)
+
+
+def test_cone_casts_coarse_then_three_refinement_discs(monkeypatch):
+    vol = tube_volume()
+    rays = []
+    real = features._ray_scores
+
+    def counting(v, apex, targets, mask):
+        rays.append(len(targets))
+        return real(v, apex, targets, mask)
+
+    monkeypatch.setattr(features, "_ray_scores", counting)
+    cone_search(vol, (20.0, 20.0, 10.0), (21.5, 20.5, 25.0), 15.0, 600, MASK)
+    assert rays == [150, 3 * 75]
 
 
 def test_cone_spec_validation():
