@@ -29,8 +29,8 @@ from .engine import SegmentationConfig, load_trajectory, save_trajectory, \
 from .evaluation import ExperimentReport, score_catheter, write_scores_csv, \
     write_summary_json, write_overlay_json
 from .phantom import generate_phantom, load_phantom_spec
-from .spring import SpringModelParams, build_model_table, export_table_csv, \
-    find_max_force, simulate_forward
+from .spring import build_model_table, export_table_csv, find_max_force, \
+    simulate_forward
 from .volume import load_seeds, load_volume, save_seeds, save_volume
 
 EXIT_OK = 0
@@ -146,19 +146,19 @@ def cmd_phantom(args, argv) -> int:
     t0 = time.perf_counter()
     try:
         spec = load_phantom_spec(args.spec)
-        model = SpringModelParams(**{f.name: getattr(args, f.name)
-                                     for f in fields(SpringModelParams)})
+        config = _load_config_arg(args)
+        find_max_force(config.model)      # raises for a spring no force loads
         # generation checks dims, spacing, distractor kinds and insertion
         # depths against the model: its ValueErrors are input errors too
-        vol, gold, seeds = generate_phantom(spec, model)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        vol, gold, seeds = generate_phantom(spec, config.model)
+    except (OSError, KeyError, RuntimeError, TypeError, ValueError) as exc:
         print(f"phantom input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     save_volume(vol, out / "volume.nrrd")
     save_seeds(seeds, out / "seeds.json")
     for i, g in enumerate(gold):
         save_trajectory(g, out / f"gold_{i:02d}.json")
-    _write_manifest(out, "phantom", argv, None,
+    _write_manifest(out, "phantom", argv, config_to_dict(config),
                     {"spec": str(args.spec)}, {"rng_seed": spec.rng_seed},
                     {"total": time.perf_counter() - t0})
     return EXIT_OK
@@ -244,19 +244,6 @@ def _checked(kind, ok, what: str):
     return parse
 
 
-def _model_field(name: str, kind):
-    """argparse ``type`` for one SpringModelParams field; the dataclass
-    itself checks the range."""
-    def parse(text: str):
-        try:
-            value = kind(text)
-            replace(SpringModelParams(), **{name: value})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cathseg",
@@ -272,9 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ph = sub.add_parser("phantom", help="generate a synthetic volume")
     p_ph.add_argument("--spec", required=True, help="phantom spec JSON")
-    for f in fields(SpringModelParams):      # --k-a, --n-seg, --total-length
-        p_ph.add_argument("--" + f.name.replace("_", "-"), default=f.default,
-                          type=_model_field(f.name, type(f.default)))
+    p_ph.add_argument("--config", help="config JSON path (the catheter model)")
     p_ph.add_argument("--out-dir", required=True)
 
     p_seg = sub.add_parser("segment", help="segment catheters from seeds")

@@ -49,16 +49,17 @@ def orthonormal_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def disc_points(center, normal, radius: float, n: int) -> np.ndarray:
-    """Center point plus a sunflower layout filling the disc, n points total."""
+    """Sunflower layout of n points filling the disc around (not at) the
+    center, the outermost on its rim; none when the radius is zero."""
     center = np.asarray(center, dtype=float)
-    if radius == 0 or n == 1:
-        return center[None, :]
+    if radius == 0:
+        return np.empty((0, 3))
     u, v = orthonormal_basis(normal)
-    k = np.arange(1, n)
-    r = radius * np.sqrt(k / (n - 1))
+    k = np.arange(1, n + 1)
+    r = radius * np.sqrt(k / n)
     th = k * GOLDEN_ANGLE
     offsets = r[:, None] * (np.cos(th)[:, None] * u + np.sin(th)[:, None] * v)
-    return np.vstack([center[None, :], center + offsets])
+    return center + offsets
 
 
 def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
@@ -96,11 +97,11 @@ def cone_search(vol: Volume3D, apex, base_center, base_radius: float,
                 n_rays: int, mask: FeatureMask) -> tuple[np.ndarray, float, np.ndarray]:
     """Best candidate on the cone base disc by minimum line score.
 
-    Casts the rays coarse to fine from the apex: a sunflower disc of
-    ``max(1, n_rays // 4)`` rays over radius ``base_radius`` about
-    ``base_center``, then ``n_rays // 8`` rays on a disc of the coarse
-    spacing around each of the three best coarse candidates (their centers
-    are not cast twice).  Returns the candidate, its score and the center
+    Casts the rays coarse to fine from the apex: ``max(1, n_rays // 4)``
+    rays at ``base_center`` and on a sunflower disc of radius
+    ``base_radius`` around it, then ``n_rays // 8`` rays on a disc of the
+    coarse spacing around (not at) each of the three best coarse
+    candidates.  Returns the candidate, its score and the center
     intensities sampled along every ray cast, as one flat array.  Ties
     resolve to the candidate nearest the base center, so an uninformative
     image defers to wherever the base was proposed.
@@ -115,12 +116,12 @@ def cone_search(vol: Volume3D, apex, base_center, base_radius: float,
         raise ValueError("apex and base_center must differ")
     axis = base - apex
     n_coarse = max(1, n_rays // 4)
-    coarse = disc_points(base, axis, base_radius, n_coarse)
+    coarse = np.vstack([base, disc_points(base, axis, base_radius, n_coarse - 1)])
     coarse_scores, coarse_samples = _ray_scores(vol, apex, coarse, mask)
 
     fine_radius = base_radius * math.sqrt(math.pi / n_coarse)   # the coarse spacing
     best_coarse = coarse[np.argsort(coarse_scores, kind="stable")[:3]]
-    fine = np.vstack([disc_points(c, axis, fine_radius, n_rays // 8 + 1)[1:]
+    fine = np.vstack([disc_points(c, axis, fine_radius, n_rays // 8)
                       for c in best_coarse])
     fine_scores, fine_samples = _ray_scores(vol, apex, fine, mask)
 

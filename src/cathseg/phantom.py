@@ -224,10 +224,10 @@ def generate_phantom(spec: PhantomSpec,
     polylines = [_centerline_world(cath, model, plane, in_plane)
                  for cath in spec.catheters]
 
-    for i, poly in enumerate(polylines):
+    dense = [resample_polyline(poly, 0.5) for poly in polylines]
+    for i, tree in enumerate(cKDTree(d) for d in dense):
         for j in range(i):
-            di = cKDTree(resample_polyline(poly, 0.5)).query(
-                resample_polyline(polylines[j], 0.5), k=1)[0].min()
+            di = tree.query(dense[j], k=1)[0].min()
             if di < 2.0 * spec.tube_radius:
                 _warnings.warn(
                     f"catheters {j} and {i} pass within {di:.2f} mm of each other",

@@ -195,7 +195,8 @@ def save_volume(vol: Volume3D, path):
 
 
 def load_volume(path) -> Volume3D:
-    """Read the supported NRRD subset; intensities become float32."""
+    """Read the supported NRRD subset; intensities become float32, and a
+    NaN or infinite voxel is a format error."""
     path = Path(path)
     raw = path.read_bytes()
     sep = raw.find(b"\n\n")
@@ -264,6 +265,8 @@ def load_volume(path) -> Volume3D:
     arr = np.frombuffer(payload[: n_expected * dtype.itemsize], dtype=dtype)
     # raw NRRD payload is first-axis-fastest
     data = arr.reshape(sizes[::-1]).transpose(2, 1, 0).astype(np.float32)
+    if not np.isfinite(data).all():
+        raise VolumeFormatError("data", "payload holds a non-finite voxel")
 
     try:
         return Volume3D(dims=sizes, spacing=spacing, origin=origin,

@@ -11,10 +11,10 @@ import pytest
 from cathseg import cli, engine
 from cathseg.engine import load_trajectory
 from cathseg.phantom import CatheterSpec, DistractorSpec, PhantomSpec, \
-    save_phantom_spec
+    generate_phantom, load_phantom_spec, save_phantom_spec
 from cathseg.spring import SpringModelParams, build_model_table, \
     find_max_force, lookup, simulate_forward
-from cathseg.volume import load_volume, sample_voxel
+from cathseg.volume import load_volume, sample_voxel, save_volume
 
 
 @pytest.fixture(scope="module")
@@ -66,12 +66,15 @@ def test_simulate_writes_table_and_curves(tmp_path):
     assert (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("doc", [
+config_errors = pytest.mark.parametrize("doc", [
     {"bogus": 1}, {"n_c": "8"}, {"n_rays": 0}, {"r_cone": "inf"},
     {"r_cone": math.nan}, {"k_a": "inf"}, {"ring_radius": math.nan},
     {"total_length": "inf"}, {"k_a": 1e-20}],
     ids=["unknown_key", "string_bool", "n_rays_0", "r_cone_inf", "r_cone_nan",
          "k_a_inf", "ring_radius_nan", "total_length_inf", "k_a_unloadable"])
+
+
+@config_errors
 def test_simulate_config_error_exit_code(tmp_path, capsys, doc):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
@@ -80,6 +83,22 @@ def test_simulate_config_error_exit_code(tmp_path, capsys, doc):
     assert rc == cli.EXIT_FORMAT
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not (out / "model_table.csv").exists()
+
+
+@config_errors
+def test_phantom_config_error_exit_code(tmp_path, capsys, doc):
+    spec = tmp_path / "spec.json"
+    save_phantom_spec(PhantomSpec(dims=(40, 40, 40), catheters=[CatheterSpec(
+        f0=40.0, insertion_depth=30.0, deflection_azimuth=0.0,
+        entry_point=(0.0, 0.0))]), spec)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "ph"
+    rc = cli.main(["phantom", "--spec", str(spec), "--config", str(cfg),
+                   "--out-dir", str(out)])
+    assert rc == cli.EXIT_FORMAT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not (out / "volume.nrrd").exists()
 
 
 def test_phantom_outputs_and_determinism(tmp_path, phantom_dir):
@@ -101,6 +120,29 @@ def test_phantom_outputs_and_determinism(tmp_path, phantom_dir):
     rc = cli.main(["phantom", "--spec", str(spec_path), "--out-dir", str(out2)])
     assert rc == 0
     assert (out2 / "volume.nrrd").read_bytes() == (phantom_dir / "volume.nrrd").read_bytes()
+    manifest = json.loads((phantom_dir / "manifest.json").read_text())
+    assert manifest["config"] == cli.config_to_dict(engine.SegmentationConfig())
+
+
+def test_phantom_reads_model_from_config(tmp_path, phantom_dir):
+    doc = {"k_a": 1500, "n_seg": 24}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "stiff"
+    spec_path = phantom_dir.parent / "spec.json"
+    rc = cli.main(["phantom", "--spec", str(spec_path), "--config", str(cfg),
+                   "--out-dir", str(out)])
+    assert rc == 0
+    config = cli.config_from_dict(doc)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == cli.config_to_dict(config)
+    _, gold, _ = generate_phantom(load_phantom_spec(spec_path), config.model)
+    for i, g in enumerate(gold):
+        assert np.array_equal(load_trajectory(out / f"gold_{i:02d}.json").points,
+                              g.points)
+    # the stiffer model bends the catheters less than the default one
+    assert not np.array_equal(load_trajectory(out / "gold_00.json").points,
+                              load_trajectory(phantom_dir / "gold_00.json").points)
 
 
 def test_phantom_bad_spec_exit_code(tmp_path):
@@ -269,15 +311,33 @@ def test_segment_malformed_seeds_exit_code(tmp_path, capsys, phantom_dir, edit):
 @pytest.mark.parametrize("argv", [
     lambda d, ph: ["phantom", "--spec", str(d / "missing.json")],
     lambda d, ph: ["phantom", "--spec", str(d)],
+    lambda d, ph: ["phantom", "--spec", str(ph.parent / "spec.json"),
+                   "--config", str(d / "missing.json")],
     lambda d, ph: ["simulate", "--config", str(d)],
     lambda d, ph: ["segment", "--volume", str(d),
                    "--seeds", str(ph / "seeds.json")],
-], ids=["phantom_missing_spec", "phantom_spec_is_dir", "simulate_config_is_dir",
-        "segment_volume_is_dir"])
+], ids=["phantom_missing_spec", "phantom_spec_is_dir", "phantom_missing_config",
+        "simulate_config_is_dir", "segment_volume_is_dir"])
 def test_unreadable_input_path_exit_code(tmp_path, capsys, phantom_dir, argv):
     rc = cli.main(argv(tmp_path, phantom_dir) + ["--out-dir", str(tmp_path / "o")])
     assert rc == cli.EXIT_FORMAT
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_segment_non_finite_voxel_exit_code(tmp_path, capsys, phantom_dir, bad):
+    vol = load_volume(phantom_dir / "volume.nrrd")
+    vol.data[0, 0, 0] = bad
+    path = tmp_path / "volume.nrrd"
+    save_volume(vol, path)
+    out = tmp_path / "o"
+    rc = cli.main(["segment", "--volume", str(path),
+                   "--seeds", str(phantom_dir / "seeds.json"),
+                   "--out-dir", str(out)])
+    assert rc == cli.EXIT_FORMAT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not list(out.glob("trajectory_*.json"))
 
 
 def test_segment_partial_failure_exit_code(tmp_path, phantom_dir, monkeypatch):
@@ -381,18 +441,28 @@ def test_evaluate_invalid_trajectory_exit_code(tmp_path, capsys, phantom_dir, co
      "--resample-step", step] for step in ("0", "nan", "-1", "inf")
 ] + [["simulate", "--out-dir", "o", "--n-curves", "-1"]] + [
     ["segment", "--volume", "v", "--seeds", "s", "--out-dir", "o",
-     "--jobs", jobs] for jobs in ("0", "-3")] + [
-    ["phantom", "--spec", "s", "--out-dir", "o", flag, value]
-    for flag, value in (("--k-a", "-1"), ("--k-a", "nan"), ("--n-seg", "1"),
-                        ("--total-length", "0"))],
+     "--jobs", jobs] for jobs in ("0", "-3")],
     ids=["resample_step_0", "resample_step_nan", "resample_step_-1",
-         "resample_step_inf", "n_curves_-1", "jobs_0", "jobs_-3",
-         "k_a_-1", "k_a_nan", "n_seg_1", "total_length_0"])
+         "resample_step_inf", "n_curves_-1", "jobs_0", "jobs_-3"])
 def test_out_of_range_flags_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_USAGE
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--k-a", "-1"), ("--k-a", "nan"), ("--n-seg", "1"), ("--total-length", "0")],
+    ids=["k_a_-1", "k_a_nan", "n_seg_1", "total_length_0"])
+def test_phantom_model_flags_are_unrecognized(tmp_path, monkeypatch, capsys,
+                                              flag, value):
+    """The catheter model comes from --config only."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["phantom", "--spec", "s", "--out-dir", "o", flag, value])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

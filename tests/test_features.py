@@ -85,12 +85,13 @@ def test_score_invariant_under_intensity_shift():
 def test_disc_points_layout():
     pts = disc_points((0, 0, 0), (0, 0, 1), 10.0, 200)
     assert pts.shape == (200, 3)
-    assert np.allclose(pts[0], (0, 0, 0))
     r = np.linalg.norm(pts[:, :2], axis=1)
-    assert r.max() <= 10.0 + 1e-9
+    assert r.min() > 0.0                      # the center is not drawn
+    assert r.max() == pytest.approx(10.0, abs=1e-9)
     assert np.allclose(pts[:, 2], 0.0, atol=1e-12)
-    # radius zero collapses to the center
-    assert disc_points((1, 2, 3), (0, 0, 1), 0.0, 50).shape == (1, 3)
+    # radius zero, or no points asked for, draws nothing
+    assert disc_points((1, 2, 3), (0, 0, 1), 0.0, 50).shape == (0, 3)
+    assert disc_points((1, 2, 3), (0, 0, 1), 5.0, 0).shape == (0, 3)
 
 
 def test_orthonormal_basis_properties():
