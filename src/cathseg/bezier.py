@@ -56,7 +56,7 @@ def fit_bezier(points, n_control: int, max_iter: int = 1000) -> np.ndarray:
     for _ in range(max_iter):
         if last_res < 1e-12:
             break
-        t = _reparameterize(points, control, t)
+        t = _reparameterize(points, control)
         control = _solve(points, t, n_control)
         res = _max_residual(points, control, t)
         if last_res - res < 1e-15:
@@ -82,7 +82,7 @@ def _max_residual(points, control, t):
     return float(np.max(np.linalg.norm(bezier_eval(control, t) - points, axis=1)))
 
 
-def _reparameterize(points, control, t):
+def _reparameterize(points, control):
     """Re-assign each point the parameter of its nearest curve location:
     coarse dense-grid projection followed by Newton polish."""
     grid = np.linspace(0.0, 1.0, max(128, 8 * len(points)))

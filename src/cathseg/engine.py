@@ -105,10 +105,13 @@ class Trajectory:
         if not isinstance(doc, dict):
             raise ValueError("trajectory must be a JSON object")
         bez = doc.get("bezier")
+        estimates = {k: float(v) for k, v in dict(doc.get("estimates", {})).items()}
+        if not all(math.isfinite(v) for v in estimates.values()):
+            raise ValueError("trajectory estimates must be finite numbers")
         return cls(points=np.asarray(doc["points"], dtype=float),
                    bezier_control=None if bez is None else np.asarray(bez, dtype=float),
                    provenance=list(doc.get("provenance", [])),
-                   estimates=dict(doc.get("estimates", {})),
+                   estimates=estimates,
                    warnings=list(doc.get("warnings", [])))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial.distance import directed_hausdorff
 
 from .bezier import resample_polyline, sample_curve
 from .engine import WARN_INIT_FALLBACK, SegmentationConfig, Trajectory, error_text, \
@@ -36,7 +36,7 @@ class CatheterScore:
     failed: bool = False
     error: str | None = None     # why a failed segmentation failed
     f0_est: float | None = None  # uN, the segmentation's force estimate
-    f0_true: float | None = None  # uN, the phantom's force, where known
+    f0_true: float | None = None  # uN, the gold's force, where it records one
     used_fallback: bool | None = None  # the estimate took the straight guess
 
 
@@ -80,18 +80,7 @@ def hausdorff(traj_a: Trajectory, traj_b: Trajectory, resample_step: float = 0.5
             raise ValueError("trajectories need at least two points")
     a = _resample_trajectory(traj_a, resample_step)
     b = _resample_trajectory(traj_b, resample_step)
-    # kd-tree finds the neighbor; the distance is recomputed in the expanded
-    # euclidean form so results match a brute-force double loop bit for bit
-    ia = cKDTree(b).query(a)[1]
-    ib = cKDTree(a).query(b)[1]
-    d_ab = _euclidean(a, b[ia]).max()
-    d_ba = _euclidean(b, a[ib]).max()
-    return float(max(d_ab, d_ba))
-
-
-def _euclidean(p, q):
-    d = p - q
-    return np.sqrt((d[:, 0] ** 2 + d[:, 1] ** 2) + d[:, 2] ** 2)
+    return float(max(directed_hausdorff(a, b)[0], directed_hausdorff(b, a)[0]))
 
 
 def _count_tags(provenance) -> dict:
@@ -108,6 +97,7 @@ def score_catheter(traj: Trajectory, gold: Trajectory, catheter_id: str,
                          n_points=len(traj.points),
                          provenance_counts=_count_tags(traj.provenance),
                          f0_est=traj.estimates.get("f0_est"),
+                         f0_true=gold.estimates.get("f0"),
                          used_fallback=WARN_INIT_FALLBACK in traj.warnings)
 
 
@@ -121,7 +111,7 @@ def _score_outcome(outcome, gold: Trajectory, catheter_id: str,
         except Exception as exc:
             outcome = error_text(exc)
     return CatheterScore(catheter_id, experiment, float("inf"), 0, _count_tags([]),
-                         failed=True, error=outcome)
+                         failed=True, error=outcome, f0_true=gold.estimates.get("f0"))
 
 
 def run_experiments(bundle, config: SegmentationConfig, jobs: int = 1) -> ExperimentReport:
@@ -138,16 +128,10 @@ def run_experiments(bundle, config: SegmentationConfig, jobs: int = 1) -> Experi
              for case in bundle.cases]
     scores = []
     for case, tips in zip(bundle.cases, segment_batch(tasks, config, jobs)):
-        # a case seeded with a subset of its spec's catheters has no known
-        # pairing of tips and forces
-        specs = case.spec.catheters
         for ci, (outcomes, _) in enumerate(tips):
             cid = f"v{case.volume_id:02d}c{ci:02d}"
             for (exp_name, _), outcome in zip(EXPERIMENTS, outcomes):
-                score = _score_outcome(outcome, case.gold[ci], cid, exp_name)
-                if len(specs) == len(tips):
-                    score.f0_true = specs[ci].f0
-                scores.append(score)
+                scores.append(_score_outcome(outcome, case.gold[ci], cid, exp_name))
     return ExperimentReport(scores=scores)
 
 

@@ -252,10 +252,10 @@ def generate_phantom(spec: PhantomSpec,
 
     gold = []
     tips = []
-    for poly in polylines:
+    for cath, poly in zip(spec.catheters, polylines):
         pts = poly[::-1].copy()          # distal tip first
         gold.append(Trajectory(points=pts, bezier_control=None, provenance=[],
-                               estimates={}))
+                               estimates={"f0": cath.f0}))
         tips.append(pts[0].copy())
     seeds = SeedSet(tips=tips, plane=plane)
     return vol, gold, seeds

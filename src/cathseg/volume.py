@@ -68,13 +68,9 @@ class Volume3D:
         a = self.axis_directions
         if not np.allclose(a.T @ a, np.eye(3), atol=1e-7) or abs(abs(np.linalg.det(a)) - 1.0) > 1e-6:
             raise ValueError("axis_directions columns must be orthonormal")
-        self.data = np.asarray(self.data)
-        if self.data.shape != self.dims:
-            if self.data.size != int(np.prod(self.dims)):
-                raise ValueError(
-                    f"data size {self.data.size} != dims product {int(np.prod(self.dims))}")
-            self.data = self.data.reshape(self.dims)
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
+        if self.data.shape != self.dims:
+            raise ValueError(f"data shape {self.data.shape} != dims {self.dims}")
         self._background = None
 
     @property
@@ -172,6 +168,17 @@ def sample_voxel(vol: Volume3D, u: np.ndarray):
 _VEC_RE = re.compile(r"\(([^)]*)\)")
 
 
+def _vector(text: str, field_name: str) -> np.ndarray:
+    """A header vector's inner text as three finite numbers."""
+    try:
+        v = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise VolumeFormatError(field_name, f"non-numeric vector ({text})") from None
+    if v.shape != (3,) or not np.all(np.isfinite(v)):
+        raise VolumeFormatError(field_name, f"need three finite numbers, got ({text})")
+    return v
+
+
 def save_volume(vol: Volume3D, path):
     """Write the volume as NRRD (raw little-endian payload, x fastest)."""
     path = Path(path)
@@ -188,7 +195,7 @@ def save_volume(vol: Volume3D, path):
         "endian: little",
         "encoding: raw",
     ]
-    payload = np.ascontiguousarray(vol.data.astype("<f4")).tobytes(order="F")
+    payload = vol.data.astype("<f4", copy=False).tobytes(order="F")
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n\n").encode("ascii"))
         fh.write(payload)
@@ -203,7 +210,6 @@ def load_volume(path) -> Volume3D:
     if sep < 0:
         raise VolumeFormatError("header", "missing blank line terminating the header")
     header_text = raw[:sep].decode("latin-1")
-    payload = raw[sep + 2:]
 
     lines = header_text.splitlines()
     if not lines or not lines[0].startswith("NRRD"):
@@ -215,6 +221,8 @@ def load_volume(path) -> Volume3D:
         if ":" not in line:
             raise VolumeFormatError("header", f"malformed line {line!r}")
         key, _, value = line.partition(":")
+        if value.startswith("="):
+            continue                     # a "key:=value" pair, not a field
         fields[key.strip().lower()] = value.strip()
 
     if fields.get("dimension") != "3":
@@ -243,7 +251,7 @@ def load_volume(path) -> Volume3D:
         vecs = _VEC_RE.findall(sd)
         if len(vecs) != 3:
             raise VolumeFormatError("space directions", f"need three vectors, got {sd!r}")
-        m = np.array([[float(x) for x in v.split(",")] for v in vecs]).T  # columns
+        m = np.array([_vector(v, "space directions") for v in vecs]).T  # columns
         spacing = np.linalg.norm(m, axis=0)
         if np.any(spacing <= 0):
             raise VolumeFormatError("space directions", "zero-length direction vector")
@@ -255,16 +263,17 @@ def load_volume(path) -> Volume3D:
         vecs = _VEC_RE.findall(so)
         if len(vecs) != 1:
             raise VolumeFormatError("space origin", f"malformed: {so!r}")
-        origin = np.array([float(x) for x in vecs[0].split(",")])
+        origin = _vector(vecs[0], "space origin")
 
     n_expected = sizes[0] * sizes[1] * sizes[2]
-    n_got = len(payload) // dtype.itemsize
+    n_got = (len(raw) - sep - 2) // dtype.itemsize
     if n_got < n_expected:
         raise TruncatedVolumeError(
             f"{path}: payload holds {n_got} voxels, header declares {n_expected}")
-    arr = np.frombuffer(payload[: n_expected * dtype.itemsize], dtype=dtype)
-    # raw NRRD payload is first-axis-fastest
-    data = arr.reshape(sizes[::-1]).transpose(2, 1, 0).astype(np.float32)
+    arr = np.frombuffer(raw, dtype=dtype, count=n_expected, offset=sep + 2)
+    # raw NRRD payload is first-axis-fastest; the one copy converts to C order
+    data = np.array(arr.reshape(sizes[::-1]).transpose(2, 1, 0), dtype=np.float32,
+                    order="C")
     if not np.isfinite(data).all():
         raise VolumeFormatError("data", "payload holds a non-finite voxel")
 

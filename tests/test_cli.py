@@ -400,9 +400,29 @@ def test_evaluate_segmented_pipeline(tmp_path, phantom_dir):
     assert rc == 0
     rows = list(csv.DictReader(open(out / "scores.csv")))
     assert all(float(r["hd_mm"]) < 2.0 for r in rows)
-    # evaluate reads trajectories: their estimates, but no phantom truth
+    # each row pairs the trajectory's estimate with the force its gold records
     raw = json.loads((out / "summary.json").read_text())["raw"]
-    assert all(r["f0_est"] > 0.0 and r["f0_true"] is None for r in raw)
+    assert all(r["f0_est"] > 0.0 for r in raw)
+    assert [r["f0_true"] for r in raw] == [45.0, 15.0]
+
+
+def test_evaluate_gold_without_force_has_no_true_force(tmp_path, phantom_dir):
+    """A gold file that records no force still scores, with f0_true null."""
+    gold = tmp_path / "gold"
+    pred = tmp_path / "pred"
+    gold.mkdir()
+    pred.mkdir()
+    for gf in phantom_dir.glob("gold_*.json"):
+        doc = json.loads(gf.read_text())
+        del doc["estimates"]
+        (gold / gf.name).write_text(json.dumps(doc))
+        (pred / gf.name.replace("gold", "trajectory")).write_text(gf.read_text())
+    out = tmp_path / "eval"
+    rc = cli.main(["evaluate", "--gold", str(gold), "--pred", str(pred),
+                   "--out-dir", str(out)])
+    assert rc == 0
+    raw = json.loads((out / "summary.json").read_text())["raw"]
+    assert [(r["hd_mm"], r["f0_true"]) for r in raw] == [(0.0, None), (0.0, None)]
 
 
 def test_evaluate_pairing_error(tmp_path, phantom_dir):
@@ -419,7 +439,10 @@ def test_evaluate_pairing_error(tmp_path, phantom_dir):
     lambda text: text[: len(text) // 2],
     lambda text: json.dumps({"points": [[0.0, 0.0, 0.0]], "bezier": None}),
     lambda text: "[1, 2, 3]",
-], ids=["truncated_json", "one_point", "not_an_object"])
+    lambda text: json.dumps({**json.loads(text), "estimates": {"f0_est": "x"}}),
+    lambda text: json.dumps({**json.loads(text), "estimates": {"f0_est": math.nan}}),
+], ids=["truncated_json", "one_point", "not_an_object", "estimate_not_a_number",
+        "estimate_nan"])
 def test_evaluate_invalid_trajectory_exit_code(tmp_path, capsys, phantom_dir, corrupt):
     pred = tmp_path / "pred"
     pred.mkdir()

@@ -167,7 +167,8 @@ def test_run_experiments_rows_match_single_mode_segmentation(mini_report, model)
                 traj = segment_catheter(case.volume, tip, case.seeds.plane,
                                         replace(config, d_tol=d_tol))
                 want = score_catheter(traj, case.gold[ci], cid, exp_name)
-                assert next(rows) == replace(want, f0_true=case.spec.catheters[ci].f0)
+                assert want.f0_true == case.spec.catheters[ci].f0
+                assert next(rows) == want
     assert next(rows, None) is None
 
 
@@ -215,15 +216,16 @@ def test_fallback_estimate_is_marked_in_every_mode(model):
     assert all(r["used_fallback"] is True and not r["failed"] for r in raw)
 
 
-def test_case_seeded_with_a_subset_has_no_true_force(model):
-    """A case whose tips are a subset of its spec's catheters cannot pair a
-    tip with its force: f0_true stays null rather than taking a neighbour's."""
+def test_case_seeded_with_a_subset_keeps_its_own_true_force(model):
+    """A case whose tips are a subset of its spec's catheters takes each
+    tip's force from its own gold, not from a neighbour's spec."""
     case = mini_bundle(model).cases[1]
     case.seeds.tips = case.seeds.tips[1:]
     case.gold = case.gold[1:]
     report = run_experiments(BenchmarkBundle(seed=0, model=model, cases=[case]),
                              SegmentationConfig(model=model))
-    assert [s.f0_true for s in report.scores] == [None] * len(EXPERIMENTS)
+    assert [s.f0_true for s in report.scores] == \
+        [case.spec.catheters[1].f0] * len(EXPERIMENTS)
     assert all(s.f0_est is not None for s in report.scores)
 
 
@@ -246,6 +248,9 @@ def test_failed_catheter_scores_inf(model):
     assert [r["error"] for r in raw if r["failed"]] == [s.error for s in failed]
     assert all(r["error"] is None for r in raw if not r["failed"])
     assert all(r["f0_est"] is None for r in raw if r["failed"])
+    # a failed row still carries the force its gold records
+    assert [r["f0_true"] for r in raw if r["failed"]] == \
+        [bundle.cases[0].spec.catheters[0].f0] * 3
     assert all(r["used_fallback"] is None for r in raw if r["failed"])
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cathseg.volume import (BasePlane, SeedSet, TruncatedVolumeError, Volume3D,
                             VolumeFormatError, distance_to_plane, load_seeds,
@@ -38,6 +39,14 @@ def test_truncated_payload_raises(tmp_path):
     ("encoding", "gzip"),
     ("type", "double"),
     ("endian", "big"),
+    ("space origin", "(1,2)"),
+    ("space origin", "(1,2,3,4)"),
+    ("space origin", "(nan,0,0)"),
+    ("space origin", "(inf,0,0)"),
+    ("space origin", "(a,b,c)"),
+    ("space directions", "(x,0,0) (0,1,0) (0,0,1)"),
+    ("space directions", "(1,0,0) (0,1) (0,0,1)"),
+    ("space directions", "(1,0,0) (0,nan,0) (0,0,1)"),
 ])
 def test_unsupported_header_fields(tmp_path, field, value):
     fields = {"type": "float", "dimension": "3", "sizes": "2 2 2",
@@ -49,6 +58,67 @@ def test_unsupported_header_fields(tmp_path, field, value):
     with pytest.raises(VolumeFormatError) as exc:
         load_volume(path)
     assert exc.value.field_name == field
+
+
+_HEADER_KEYS = ["type", "dimension", "sizes", "encoding", "endian",
+                "space directions", "space origin", "kinds", "content"]
+_VALUE_TOKENS = ["(", ")", ",", " ", "0", "1", "2", "-1", "0.5", "1e308", "1e-320",
+                 "nan", "inf", "-inf", "float", "short", "uint16", "raw", "gzip",
+                 "little", "big", "3", "2 2 2", "x", "=", ":", "#", "\r", "\x85"]
+_vector = st.lists(st.sampled_from(["0", "1", "-1", "0.5", "1e308", "1e-320", "nan",
+                                    "inf", "x", ""]), min_size=1, max_size=4)
+_header_value = st.one_of(
+    st.lists(_vector.map(lambda xs: "(" + ",".join(xs) + ")"), min_size=1,
+             max_size=4).map(" ".join),
+    st.lists(st.sampled_from(_VALUE_TOKENS), max_size=8).map("".join),
+    st.text(st.characters(min_codepoint=1, max_codepoint=255,
+                          blacklist_characters="\n"), max_size=20))
+_header_line = st.one_of(
+    st.tuples(st.sampled_from(_HEADER_KEYS), st.sampled_from([":", ":="]),
+              _header_value).map(lambda t: f"{t[0]}{t[1]} {t[2]}"),
+    _header_value)
+
+
+@given(overrides=st.dictionaries(st.sampled_from(_HEADER_KEYS), _header_value,
+                                 max_size=3),
+       extra=st.lists(_header_line, max_size=4),
+       payload=st.one_of(st.binary(max_size=48),
+                         st.just(np.zeros(8, dtype="<f4").tobytes())))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_header_raises_only_format_errors(tmp_path, overrides, extra, payload):
+    """Any header, ``key:=value`` lines included, either loads or raises one
+    of the two documented volume errors."""
+    fields = {"type": "float", "dimension": "3", "sizes": "2 2 2",
+              "space directions": "(1,0,0) (0,1,0) (0,0,1)",
+              "space origin": "(0,0,0)", "encoding": "raw", "endian": "little"}
+    fields.update(overrides)
+    lines = ["NRRD0004"] + [f"{k}: {v}" for k, v in fields.items()] + extra
+    path = tmp_path / "fuzz.nrrd"
+    path.write_bytes(("\n".join(lines) + "\n\n").encode("latin-1") + payload)
+    try:
+        vol = load_volume(path)
+    except (VolumeFormatError, TruncatedVolumeError):
+        return
+    assert vol.data.shape == vol.dims and vol.data.dtype == np.float32
+    assert vol.origin.shape == vol.spacing.shape == (3,)
+    assert all(np.isfinite(a).all() for a in (vol.data, vol.origin, vol.spacing))
+
+
+def test_key_value_pairs_are_not_fields(tmp_path):
+    """A ``key:=value`` line is free-form metadata, even under a field's name."""
+    header = (b"NRRD0004\ntype: float\ndimension: 3\nsizes: 2 2 2\n"
+              b"space origin: (1,2,3)\nspace origin:=(5,5,5)\ntype:=double\n"
+              b"encoding: raw\nendian: little\n\n")
+    path = tmp_path / "key_values.nrrd"
+    path.write_bytes(header + np.zeros(8, dtype="<f4").tobytes())
+    assert load_volume(path).origin.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_data_shape_must_match_dims():
+    with pytest.raises(ValueError, match="data shape"):
+        Volume3D(dims=(2, 2, 2), spacing=(1, 1, 1), origin=(0, 0, 0),
+                 axis_directions=np.eye(3), data=np.zeros(8))
 
 
 def test_save_load_bit_exact_payload(tmp_path):
