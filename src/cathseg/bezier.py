@@ -114,8 +114,7 @@ def sample_curve(control: np.ndarray, step: float) -> np.ndarray:
     dense_n = max(64, 32 * len(control))
     t_dense = np.linspace(0.0, 1.0, dense_n)
     pts = bezier_eval(control, t_dense)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
+    arc = _arc_lengths(pts)
     total = arc[-1]
     if total == 0:
         return pts[:1]
@@ -129,9 +128,17 @@ def resample_polyline(poly, step: float, min_points: int = 2) -> np.ndarray:
     """Resample a polyline at equal arc-length spacing <= step, with at
     least ``min_points`` samples; the endpoints are kept exactly."""
     poly = np.asarray(poly, dtype=float)
-    seg = np.linalg.norm(np.diff(poly, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
+    arc = _arc_lengths(poly)
     n = max(min_points, int(np.ceil(arc[-1] / step)) + 1)
     t = np.linspace(0.0, arc[-1], n)
     return np.stack([np.interp(t, arc, poly[:, c]) for c in range(poly.shape[1])],
                     axis=1)
+
+
+def _arc_lengths(pts: np.ndarray) -> np.ndarray:
+    """Cumulative arc length along ``pts`` from 0; ValueError if it overflows."""
+    with np.errstate(over="ignore"):
+        arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    if not np.isfinite(arc[-1]):
+        raise ValueError("arc length is not finite")
+    return arc

@@ -178,10 +178,11 @@ def cmd_segment(args, argv) -> int:
         return EXIT_FORMAT
 
     # one task per tip, so that --jobs spreads the catheters over workers
-    tasks = [(vol, seeds.plane, [tip], (config.d_tol,)) for tip in seeds.tips]
+    tasks = [(vol, seeds.plane, [tip]) for tip in seeds.tips]
     wall = {}
     failures = 0
-    for i, [([outcome], seconds)] in enumerate(segment_batch(tasks, config, args.jobs)):
+    batch = segment_batch(tasks, config, (config.d_tol,), args.jobs)
+    for i, [([outcome], seconds)] in enumerate(batch):
         wall[f"catheter_{i:02d}"] = seconds
         if isinstance(outcome, str):
             failures += 1
@@ -220,7 +221,7 @@ def cmd_evaluate(args, argv) -> int:
             golds.append(load_trajectory(gold_files[key]))
             trajs.append(load_trajectory(pred_files[key]))
             scores.append(score_catheter(trajs[-1], golds[-1], f"c{key}",
-                                         args.experiment, args.resample_step))
+                                         args.experiment))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"trajectory input error for id {key}: {exc}", file=sys.stderr)
             return EXIT_FORMAT
@@ -276,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--pred", required=True,
                       help="directory with trajectory_XX.json")
     p_ev.add_argument("--experiment", default="hybrid")
-    p_ev.add_argument("--resample-step", default=0.5, type=_checked(
-        float, lambda x: 0 < x < math.inf, "positive and finite"))
     p_ev.add_argument("--out-dir", required=True)
     return parser
 

@@ -76,9 +76,6 @@ class EstimateResult:
     used_fallback: bool
     warnings: list
 
-    def as_dict(self) -> dict:
-        return {"a": self.a, "alpha0_sum": self.alpha0_sum, "f0_est": self.f0_est}
-
 
 @dataclass
 class Trajectory:
@@ -90,37 +87,42 @@ class Trajectory:
     estimates: dict
     warnings: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "points": [[float(x) for x in p] for p in self.points],
-            "bezier": None if self.bezier_control is None
-                      else [[float(x) for x in p] for p in self.bezier_control],
-            "provenance": list(self.provenance),
-            "estimates": {k: float(v) for k, v in self.estimates.items()},
-            "warnings": list(self.warnings),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Trajectory":
-        if not isinstance(doc, dict):
-            raise ValueError("trajectory must be a JSON object")
-        bez = doc.get("bezier")
-        estimates = {k: float(v) for k, v in dict(doc.get("estimates", {})).items()}
-        if not all(math.isfinite(v) for v in estimates.values()):
-            raise ValueError("trajectory estimates must be finite numbers")
-        return cls(points=np.asarray(doc["points"], dtype=float),
-                   bezier_control=None if bez is None else np.asarray(bez, dtype=float),
-                   provenance=list(doc.get("provenance", [])),
-                   estimates=estimates,
-                   warnings=list(doc.get("warnings", [])))
-
 
 def save_trajectory(traj: Trajectory, path):
-    Path(path).write_text(json.dumps(traj.to_dict(), indent=2) + "\n")
+    bez = traj.bezier_control
+    doc = {"points": np.asarray(traj.points, dtype=float).tolist(),
+           "bezier": None if bez is None else np.asarray(bez, dtype=float).tolist(),
+           "provenance": list(traj.provenance),
+           "estimates": {k: float(v) for k, v in traj.estimates.items()},
+           "warnings": list(traj.warnings)}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_trajectory(path) -> Trajectory:
-    return Trajectory.from_dict(json.loads(Path(path).read_text()))
+    """Read a trajectory file; a malformed one raises ValueError."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("trajectory must be a JSON object")
+    bez = doc.get("bezier")
+    estimates = {k: float(v) for k, v in dict(doc.get("estimates", {})).items()}
+    if not all(math.isfinite(v) for v in estimates.values()):
+        raise ValueError("trajectory estimates must be finite numbers")
+    provenance = list(doc.get("provenance", []))
+    if not all(tag in (TAG_IMAGE, TAG_MODEL, TAG_COMPROMISE) for tag in provenance):
+        raise ValueError("trajectory provenance tags must be image, model or compromise")
+    warnings = list(doc.get("warnings", []))
+    if not all(isinstance(w, str) for w in warnings):
+        raise ValueError("trajectory warnings must be strings")
+    return Trajectory(points=_curve_points(doc["points"], "points"),
+                      bezier_control=None if bez is None else _curve_points(bez, "bezier"),
+                      provenance=provenance, estimates=estimates, warnings=warnings)
+
+
+def _curve_points(value, name: str) -> np.ndarray:
+    pts = np.asarray(value, dtype=float)
+    if pts.ndim != 2 or len(pts) < 2 or pts.shape[1] != 3 or not np.isfinite(pts).all():
+        raise ValueError(f"trajectory {name} must be two or more rows of 3 finite numbers")
+    return pts
 
 
 def lateral_direction(step, normal) -> np.ndarray:
@@ -269,13 +271,15 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
     # the raw points would amplify their sub-voxel jitter near the curve ends;
     # a short refinement budget suffices for smoothing fits
     control = fit_bezier(resample_polyline(pts, max(d_seg / 8.0, 0.5), len(pts)),
-                         min(config.n_c, len(pts)), max_iter=15)
+                         len(pts), max_iter=15)
     return Trajectory(points=pts, bezier_control=control, provenance=tags,
-                      estimates=est.as_dict(), warnings=list(est.warnings))
+                      estimates={"a": est.a, "alpha0_sum": est.alpha0_sum,
+                                 "f0_est": est.f0_est},
+                      warnings=list(est.warnings))
 
 
-def segment_batch(tasks, config: SegmentationConfig, jobs: int = 1) -> list:
-    """Segment the tips of (volume, plane, tips, d_tols) tasks.
+def segment_batch(tasks, config: SegmentationConfig, d_tols, jobs: int = 1) -> list:
+    """Segment the tips of (volume, plane, tips) tasks once per d_tol.
 
     Each tip is estimated once and walked once per d_tol, and a cone that
     several of its walks repeat is cast once.  Returns per task one
@@ -284,7 +288,7 @@ def segment_batch(tasks, config: SegmentationConfig, jobs: int = 1) -> list:
     never abort the batch, and results keep the input order for any
     ``jobs``; each task's volume is pickled once when ``jobs > 1``.
     """
-    work = [(task, config) for task in tasks]
+    work = [(task, config, d_tols) for task in tasks]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
@@ -294,7 +298,7 @@ def segment_batch(tasks, config: SegmentationConfig, jobs: int = 1) -> list:
 
 def _run_task(work) -> list:
     """One task in one worker; module level so that the pool can pickle it."""
-    (vol, plane, tips, d_tols), config = work
+    (vol, plane, tips), config, d_tols = work
     results = []
     for tip in tips:
         t0 = time.perf_counter()

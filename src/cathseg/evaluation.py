@@ -75,9 +75,6 @@ def _resample_trajectory(traj: Trajectory, step: float) -> np.ndarray:
 
 def hausdorff(traj_a: Trajectory, traj_b: Trajectory, resample_step: float = 0.5) -> float:
     """Symmetric Hausdorff distance between two densely resampled curves."""
-    for t in (traj_a, traj_b):
-        if len(t.points) < 2:
-            raise ValueError("trajectories need at least two points")
     a = _resample_trajectory(traj_a, resample_step)
     b = _resample_trajectory(traj_b, resample_step)
     return float(max(directed_hausdorff(a, b)[0], directed_hausdorff(b, a)[0]))
@@ -91,8 +88,8 @@ def _count_tags(provenance) -> dict:
 
 
 def score_catheter(traj: Trajectory, gold: Trajectory, catheter_id: str,
-                   experiment: str, resample_step: float = 0.5) -> CatheterScore:
-    hd = hausdorff(traj, gold, resample_step)
+                   experiment: str) -> CatheterScore:
+    hd = hausdorff(traj, gold)
     return CatheterScore(catheter_id=catheter_id, experiment=experiment, hd=hd,
                          n_points=len(traj.points),
                          provenance_counts=_count_tags(traj.provenance),
@@ -124,10 +121,9 @@ def run_experiments(bundle, config: SegmentationConfig, jobs: int = 1) -> Experi
     order, so reports are byte-reproducible regardless of jobs.
     """
     d_tols = tuple(d_tol for _, d_tol in EXPERIMENTS)
-    tasks = [(case.volume, case.seeds.plane, case.seeds.tips, d_tols)
-             for case in bundle.cases]
+    tasks = [(case.volume, case.seeds.plane, case.seeds.tips) for case in bundle.cases]
     scores = []
-    for case, tips in zip(bundle.cases, segment_batch(tasks, config, jobs)):
+    for case, tips in zip(bundle.cases, segment_batch(tasks, config, d_tols, jobs)):
         for ci, (outcomes, _) in enumerate(tips):
             cid = f"v{case.volume_id:02d}c{ci:02d}"
             for (exp_name, _), outcome in zip(EXPERIMENTS, outcomes):

@@ -55,6 +55,9 @@ class CatheterSpec:
 
     def __post_init__(self):
         self.entry_point = tuple(float(x) for x in self.entry_point)
+        if len(self.entry_point) != 2 or not np.all(np.isfinite(self.entry_point)):
+            raise ValueError(f"entry_point must be two finite numbers, "
+                             f"got {self.entry_point}")
         self.dropouts = [tuple(float(x) for x in w) for w in self.dropouts]
 
 
@@ -63,6 +66,11 @@ class BloomSpec:
     enabled: bool = False
     rim_radius: float = 1.0      # mm, rim peak offset outside the tube wall
     rim_gain: float = 60.0       # intensity added at the rim peak
+
+    def __post_init__(self):
+        if not (0 < self.rim_radius < math.inf and 0 <= self.rim_gain < math.inf):
+            raise ValueError(f"bloom needs a positive finite rim_radius and a finite "
+                             f"non-negative rim_gain, got {self.rim_radius}, {self.rim_gain}")
 
 
 @dataclass
@@ -99,34 +107,27 @@ class PhantomSpec:
         if not 0 < self.tube_radius < math.inf:
             raise ValueError(f"tube_radius must be positive and finite, "
                              f"got {self.tube_radius}")
-        if not math.isfinite(self.background_intensity):
-            raise ValueError(f"background_intensity must be finite, "
+        if not 0 < self.background_intensity < math.inf:   # a void is a fraction of it
+            raise ValueError(f"background_intensity must be positive and finite, "
                              f"got {self.background_intensity}")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and non-negative, "
                              f"got {self.noise_sigma}")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PhantomSpec":
-        doc = json.loads(text)
-        doc["bloom"] = BloomSpec(**doc.get("bloom", {}))
-        doc["catheters"] = [CatheterSpec(**c) for c in doc.get("catheters", [])]
-        doc["distractors"] = [DistractorSpec(**d) for d in doc.get("distractors", [])]
-        for key in ("dims", "spacing"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        return cls(**doc)
-
 
 def save_phantom_spec(spec: PhantomSpec, path):
-    Path(path).write_text(spec.to_json() + "\n")
+    Path(path).write_text(json.dumps(asdict(spec), indent=2) + "\n")
 
 
 def load_phantom_spec(path) -> PhantomSpec:
-    return PhantomSpec.from_json(Path(path).read_text())
+    doc = json.loads(Path(path).read_text())
+    doc["bloom"] = BloomSpec(**doc.get("bloom", {}))
+    doc["catheters"] = [CatheterSpec(**c) for c in doc.get("catheters", [])]
+    doc["distractors"] = [DistractorSpec(**d) for d in doc.get("distractors", [])]
+    for key in ("dims", "spacing"):
+        if key in doc:
+            doc[key] = tuple(doc[key])
+    return PhantomSpec(**doc)
 
 
 def _centerline_world(cath: CatheterSpec, model: SpringModelParams,
@@ -163,20 +164,18 @@ def _near_voxels(vol: Volume3D, points, reach):
     return tuple(idx.T), vol.voxel_to_world(idx)
 
 
-def _stamp_tube(vol: Volume3D, poly, radius, edge,
-                bloom: BloomSpec | None = None, core_floor: float = 0.0,
-                dropouts=(), background: float = 100.0):
-    """Darken voxels near the polyline; optionally add a bright rim outside.
+def _stamp_tube(vol: Volume3D, poly, radius, edge, floor: float = 0.0,
+                dropouts=(), rim: BloomSpec | None = None):
+    """Darken voxels near the polyline; with a ``rim``, add a bright rim outside.
 
-    ``core_floor`` lifts the void darkness (fainter catheter); ``dropouts``
-    are (arc_start, arc_len) windows along the polyline where the void fades
-    out entirely, with 2 mm soft shoulders.  Voxels at ``reach`` or beyond
-    are skipped: darkening and rim leave them exactly unchanged.
+    The void scales voxels down to ``floor`` in [0, 1]; ``dropouts`` are
+    (arc_start, arc_len) windows along the polyline where it fades out, with
+    2 mm soft shoulders.  Voxels at ``reach`` or beyond stay unchanged.
     """
     dense = resample_polyline(poly, _CENTERLINE_STEP)
     reach = radius + edge
-    if bloom is not None and bloom.enabled:
-        reach = max(reach, radius + 2.0 * bloom.rim_radius)
+    if rim is not None:
+        reach = max(reach, radius + 2.0 * rim.rim_radius)
     vox, centers = _near_voxels(vol, dense, reach)
     dist, idx = cKDTree(dense).query(centers, k=1, distance_upper_bound=reach)
     near = np.isfinite(dist)
@@ -185,7 +184,6 @@ def _stamp_tube(vol: Volume3D, poly, radius, edge,
 
     # multiplicative darkening composes across crossing structures
     mult = np.clip((dist - (radius - edge / 2.0)) / edge, 0.0, 1.0)
-    floor = min(max(core_floor / background, 0.0), 1.0)
     mult = floor + (1.0 - floor) * mult
     if dropouts:
         arc = idx * _CENTERLINE_STEP
@@ -197,10 +195,10 @@ def _stamp_tube(vol: Volume3D, poly, radius, edge,
         mult = 1.0 - (1.0 - mult) * visible
     vol.data[vox] = (vol.data[vox] * mult).astype(np.float32)
 
-    if bloom is not None and bloom.enabled and bloom.rim_gain > 0:
-        peak = radius + bloom.rim_radius
-        bump = np.clip(1.0 - np.abs(dist - peak) / bloom.rim_radius, 0.0, 1.0)
-        vol.data[vox] = vol.data[vox] + (bloom.rim_gain * bump).astype(np.float32)
+    if rim is not None:
+        peak = radius + rim.rim_radius
+        bump = np.clip(1.0 - np.abs(dist - peak) / rim.rim_radius, 0.0, 1.0)
+        vol.data[vox] = vol.data[vox] + (rim.rim_gain * bump).astype(np.float32)
 
 
 def generate_phantom(spec: PhantomSpec,
@@ -240,11 +238,10 @@ def generate_phantom(spec: PhantomSpec,
         _stamp_tube(vol, np.array([d.p0, d.p1 if d.kind == "tube" else d.p0]),
                     d.radius, edge)
 
+    rim = spec.bloom if spec.bloom.enabled else None
     for cath, poly in zip(spec.catheters, polylines):
-        _stamp_tube(vol, poly, spec.tube_radius, edge,
-                    spec.bloom, core_floor=cath.core_intensity,
-                    dropouts=cath.dropouts,
-                    background=spec.background_intensity)
+        floor = min(max(cath.core_intensity / spec.background_intensity, 0.0), 1.0)
+        _stamp_tube(vol, poly, spec.tube_radius, edge, floor, cath.dropouts, rim)
 
     if spec.noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(spec.rng_seed))

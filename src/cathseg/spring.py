@@ -254,10 +254,6 @@ class ModelTable:
     f_max: float
 
     @property
-    def resolution(self) -> int:
-        return len(self.a_nodes)
-
-    @property
     def a_range(self) -> tuple[float, float]:
         return float(self.a_nodes[0]), float(self.a_nodes[-1])
 
@@ -294,11 +290,9 @@ def build_model_table(params: SpringModelParams) -> ModelTable:
     id_ = np.clip(np.rint(d_pts / d_step).astype(int), 0, resolution - 1)
     flat = ia * resolution + id_
 
-    # smallest force wins where several samples land in one node
-    order = np.lexsort((f_pts, flat))
-    flat_sorted = flat[order]
-    first = np.concatenate([[True], flat_sorted[1:] != flat_sorted[:-1]])
-    keep = order[first]
+    # smallest force wins where several samples land in one node: the forces
+    # ascend, so a node's first sample has its smallest force
+    _, keep = np.unique(flat, return_index=True)
 
     f_grid = np.full((resolution, resolution), np.nan)
     alpha_grid = np.full((resolution, resolution), np.nan)
@@ -332,7 +326,7 @@ def lookup(table: ModelTable, a: float, d: float) -> LookupResult:
     a_c = min(max(a, a_lo), a_hi)
     d_c = min(max(d, d_lo), d_hi)
 
-    res = table.resolution
+    res = len(table.a_nodes)
     xa = (a_c - a_lo) / (a_hi - a_lo) * (res - 1)
     xd = (d_c - d_lo) / (d_hi - d_lo) * (res - 1)
     i = min(int(xa), res - 2)

@@ -44,7 +44,7 @@ class TruncatedVolumeError(IOError):
 
 @dataclass
 class Volume3D:
-    """Regular 3D scalar grid; immutable after construction.
+    """Regular 3D scalar grid; only ``generate_phantom`` writes one, before returning it.
 
     ``data`` is indexed ``[i, j, k]`` along the three grid axes; world
     position of a voxel center is ``origin + axis_directions @ (spacing * idx)``.

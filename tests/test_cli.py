@@ -185,11 +185,24 @@ def test_phantom_bad_spec_exit_code(tmp_path):
     '{"dims": [40, 40, 40], "tube_radius": -1}',
     '{"dims": [40, 40, 40], "background_intensity": NaN}',
     '{"dims": [40, 40, 40], "noise_sigma": NaN}',
+    '{"dims": [40, 40, 40], "background_intensity": 0}',
+    '{"dims": [40, 40, 40], "background_intensity": -100}',
+    # JSON text: CatheterSpec and BloomSpec refuse to build these
+    '{"dims": [40, 40, 40], "catheters": [{"f0": 0, "insertion_depth": 20, '
+    '"deflection_azimuth": 0, "entry_point": [0]}]}',
+    '{"dims": [40, 40, 40], "catheters": [{"f0": 0, "insertion_depth": 20, '
+    '"deflection_azimuth": 0, "entry_point": [0, NaN]}]}',
+    '{"dims": [40, 40, 40], "bloom": {"enabled": true, "rim_radius": 0}}',
+    '{"dims": [40, 40, 40], "bloom": {"enabled": true, "rim_radius": Infinity}}',
+    '{"dims": [40, 40, 40], "bloom": {"enabled": true, "rim_gain": NaN}}',
+    '{"dims": [40, 40, 40], "bloom": {"enabled": true, "rim_gain": -60}}',
 ], ids=["insertion_beyond_length", "unknown_distractor_kind", "empty_dims",
         "zero_spacing", "zero_insertion_depth", "negative_insertion_depth",
         "depth_never_reached", "over_deflected", "distractor_end_infinite",
         "distractor_center_nan", "distractor_radius_zero", "tube_radius_negative",
-        "background_intensity_nan", "noise_sigma_nan"])
+        "background_intensity_nan", "noise_sigma_nan", "background_intensity_zero",
+        "background_intensity_negative", "entry_point_one_number", "entry_point_nan",
+        "rim_radius_zero", "rim_radius_infinite", "rim_gain_nan", "rim_gain_negative"])
 def test_phantom_invalid_spec_exit_code(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     if isinstance(spec, str):
@@ -441,8 +454,24 @@ def test_evaluate_pairing_error(tmp_path, phantom_dir):
     lambda text: "[1, 2, 3]",
     lambda text: json.dumps({**json.loads(text), "estimates": {"f0_est": "x"}}),
     lambda text: json.dumps({**json.loads(text), "estimates": {"f0_est": math.nan}}),
+    lambda text: json.dumps({**json.loads(text), "provenance": [1.5]}),
+    lambda text: json.dumps({**json.loads(text), "provenance": ["image", "guess"]}),
+    lambda text: json.dumps({**json.loads(text), "warnings": [3]}),
+    lambda text: json.dumps({**json.loads(text),
+                             "points": [[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]]}),
+    lambda text: json.dumps({**json.loads(text),
+                             "points": [[0.0, 0.0, 0.0], [math.nan, 1.0, 1.0]]}),
+    lambda text: json.dumps({**json.loads(text),
+                             "points": [[0.0, 0.0, math.inf], [1.0, 1.0, 1.0]]}),
+    lambda text: json.dumps({**json.loads(text), "points": [[0.0, 0.0], [1.0, 1.0]]}),
+    lambda text: json.dumps({**json.loads(text), "bezier": [[0.0, 0.0, 0.0]]}),
+    lambda text: json.dumps({**json.loads(text),
+                             "bezier": [[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]}),
+    lambda text: json.dumps({**json.loads(text), "bezier": [[0.0, 1.0, 2.0, 3.0]] * 3}),
 ], ids=["truncated_json", "one_point", "not_an_object", "estimate_not_a_number",
-        "estimate_nan"])
+        "estimate_nan", "provenance_number", "provenance_unknown_tag",
+        "warning_number", "points_arc_overflows", "point_nan", "point_inf",
+        "points_2d", "bezier_one_row", "bezier_nan", "bezier_4d"])
 def test_evaluate_invalid_trajectory_exit_code(tmp_path, capsys, phantom_dir, corrupt):
     pred = tmp_path / "pred"
     pred.mkdir()
@@ -460,13 +489,10 @@ def test_evaluate_invalid_trajectory_exit_code(tmp_path, capsys, phantom_dir, co
 
 
 @pytest.mark.parametrize("argv", [
-    ["evaluate", "--gold", "g", "--pred", "p", "--out-dir", "o",
-     "--resample-step", step] for step in ("0", "nan", "-1", "inf")
-] + [["simulate", "--out-dir", "o", "--n-curves", "-1"]] + [
+    ["simulate", "--out-dir", "o", "--n-curves", "-1"]] + [
     ["segment", "--volume", "v", "--seeds", "s", "--out-dir", "o",
      "--jobs", jobs] for jobs in ("0", "-3")],
-    ids=["resample_step_0", "resample_step_nan", "resample_step_-1",
-         "resample_step_inf", "n_curves_-1", "jobs_0", "jobs_-3"])
+    ids=["n_curves_-1", "jobs_0", "jobs_-3"])
 def test_out_of_range_flags_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -486,6 +512,18 @@ def test_phantom_model_flags_are_unrecognized(tmp_path, monkeypatch, capsys,
         cli.main(["phantom", "--spec", "s", "--out-dir", "o", flag, value])
     assert exc.value.code == cli.EXIT_USAGE
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("step", ["0", "nan", "-1", "inf", "0.5"])
+def test_evaluate_resample_step_is_unrecognized(tmp_path, monkeypatch, capsys, step):
+    """evaluate scores at the benchmark's 0.5 mm step, with no flag to change it."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evaluate", "--gold", "g", "--pred", "p", "--out-dir", "o",
+                  "--resample-step", step])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments: --resample-step" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

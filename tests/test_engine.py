@@ -175,7 +175,7 @@ def test_batch_tip_just_distal_of_plane_fails_in_cone_search(config, bent_phanto
     tip = seeds.plane.point + 1e-9 * seeds.plane.normal
     assert distance_to_plane(seeds.plane, tip) > 0
     [[(outcomes, _)]] = segment_batch(
-        [(vol, seeds.plane, [tip], (0.0, math.inf, 1.0))], config)
+        [(vol, seeds.plane, [tip])], config, (0.0, math.inf, 1.0))
     assert outcomes == ["ValueError: apex and base_center must differ"] * 3
 
 
@@ -239,7 +239,7 @@ def test_segmentation_never_reads_table_or_backward_scheme(config, bent_phantom,
         monkeypatch.setattr(engine, name, unavailable, raising=False)
     vol, gold, seeds = bent_phantom
     [[(outcomes, _)]] = segment_batch(
-        [(vol, seeds.plane, seeds.tips, (0.0, math.inf, 1.0))], config)
+        [(vol, seeds.plane, seeds.tips)], config, (0.0, math.inf, 1.0))
     for traj in outcomes:
         assert isinstance(traj, Trajectory), traj
         assert len(traj.points) == config.n_c
@@ -471,7 +471,7 @@ def test_batch_casts_each_cone_once_per_tip(config, bent_phantom, monkeypatch):
     # at d_tol 1.0 the hybrid walk of this phantom never compromises
     d_tols = (0.0, math.inf, 0.5)
     calls = _record_cones(monkeypatch)
-    [[(outcomes, _)]] = segment_batch([(vol, plane, [tip], d_tols)], config)
+    [[(outcomes, _)]] = segment_batch([(vol, plane, [tip])], config, d_tols)
     # hybrid leaves the image-only path, so the walks share only a prefix
     assert TAG_COMPROMISE in outcomes[2].provenance
     shared = len(calls)
@@ -496,14 +496,14 @@ def test_batch_cone_memo_is_per_tip_and_never_aliased(config, bent_phantom,
     tip, plane = seeds.tips[0], seeds.plane
     d_tols = (math.inf, 1.0)
     calls = _record_cones(monkeypatch)
-    segment_batch([(vol, plane, [tip], d_tols)], config)
+    segment_batch([(vol, plane, [tip])], config, d_tols)
     one_tip = len(calls)
 
     # the same tip twice: a memo that outlived the first tip would turn
     # every cone of the second into a hit
     calls.clear()
     [[(first, _), (second, _)]] = segment_batch(
-        [(vol, plane, [tip, tip], d_tols)], config)
+        [(vol, plane, [tip, tip])], config, d_tols)
     assert len(calls) == 2 * one_tip
 
     image_only, hybrid = first
@@ -526,7 +526,7 @@ def test_batch_invariant_under_grid_axis_permutation(config, bent_phantom, perm)
                         data=vol.data.transpose(perm))
     d_tols = (0.0, math.inf, 1.0)
     [[(want, _)], [(got, _)]] = segment_batch(
-        [(v, seeds.plane, seeds.tips, d_tols) for v in (vol, permuted)], config)
+        [(v, seeds.plane, seeds.tips) for v in (vol, permuted)], config, d_tols)
     for a, b in zip(want, got):
         assert isinstance(b, Trajectory), b
         assert np.array_equal(a.points, b.points)

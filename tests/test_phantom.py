@@ -207,15 +207,14 @@ def _box_voxels(shape, spacing, origin, lo, hi):
     return tuple(slice(lo_idx[c], hi_idx[c]) for c in range(3)), centers
 
 
-def _stamp_tube_full_box(vol, poly, radius, edge, bloom=None, core_floor=0.0,
-                         dropouts=(), background=100.0):
+def _stamp_tube_full_box(vol, poly, radius, edge, floor=0.0, dropouts=(), rim=None):
     """Brute-force oracle for ``phantom._stamp_tube``: an unbounded kd-tree
     query at every voxel of the tube's bounding box grown by reach + 1 mm."""
     data, spacing, origin = vol.data, vol.spacing, vol.origin
     dense = resample_polyline(poly, phantom._CENTERLINE_STEP)
     reach = radius + edge
-    if bloom is not None and bloom.enabled:
-        reach = max(reach, radius + 2.0 * bloom.rim_radius)
+    if rim is not None:
+        reach = max(reach, radius + 2.0 * rim.rim_radius)
     roi = _box_voxels(data.shape, spacing, origin, dense.min(axis=0) - reach - 1.0,
                       dense.max(axis=0) + reach + 1.0)
     if roi is None:
@@ -224,7 +223,6 @@ def _stamp_tube_full_box(vol, poly, radius, edge, bloom=None, core_floor=0.0,
     dist, idx = cKDTree(dense).query(centers.reshape(-1, 3), k=1)
     dist = dist.reshape(centers.shape[:3])
     mult = np.clip((dist - (radius - edge / 2.0)) / edge, 0.0, 1.0)
-    floor = min(max(core_floor / background, 0.0), 1.0)
     mult = floor + (1.0 - floor) * mult
     if dropouts:
         arc = (idx * phantom._CENTERLINE_STEP).reshape(centers.shape[:3])
@@ -235,10 +233,10 @@ def _stamp_tube_full_box(vol, poly, radius, edge, bloom=None, core_floor=0.0,
             visible = np.minimum(visible, 1.0 - fade)
         mult = 1.0 - (1.0 - mult) * visible
     data[sl] = (data[sl] * mult).astype(np.float32)
-    if bloom is not None and bloom.enabled and bloom.rim_gain > 0:
-        peak = radius + bloom.rim_radius
-        bump = np.clip(1.0 - np.abs(dist - peak) / bloom.rim_radius, 0.0, 1.0)
-        data[sl] = data[sl] + (bloom.rim_gain * bump).astype(np.float32)
+    if rim is not None:
+        peak = radius + rim.rim_radius
+        bump = np.clip(1.0 - np.abs(dist - peak) / rim.rim_radius, 0.0, 1.0)
+        data[sl] = data[sl] + (rim.rim_gain * bump).astype(np.float32)
 
 
 def _stamp_blob_whole_volume(vol, center, radius, edge):
@@ -290,3 +288,20 @@ def test_stamping_matches_full_box_oracle(model, monkeypatch, spacing, bloom):
     assert float(oracle.min()) < 20.0
     assert (float(oracle.max()) > 140.0) == bloom
     assert np.array_equal(fast, oracle)
+
+
+def test_zero_rim_gain_stamps_the_bytes_of_no_rim(model):
+    """A rim of gain 0 adds exact zeros, and the wider reach it stamps
+    multiplies by exactly 1: the volume matches the one without bloom."""
+    def volume(bloom):
+        spec = PhantomSpec(dims=(61, 57, 51), spacing=(0.5, 0.5, 1.0), rng_seed=4,
+                           noise_sigma=3.0, bloom=bloom, catheters=[CatheterSpec(
+                               f0=40.0, insertion_depth=42.0, deflection_azimuth=0.7,
+                               entry_point=(-2.0, 1.0), core_intensity=30.0,
+                               dropouts=[(6.0, 6.0)])])
+        return generate_phantom(spec, model)[0].data
+
+    assert volume(BloomSpec(enabled=True, rim_gain=0.0)).tobytes() == \
+        volume(BloomSpec(enabled=False)).tobytes()
+    assert volume(BloomSpec(enabled=True)).tobytes() != \
+        volume(BloomSpec(enabled=False)).tobytes()
