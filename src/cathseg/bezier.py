@@ -1,9 +1,8 @@
 """Least-squares Bezier fitting with chord-length parameterization.
 
 Endpoints always interpolate the first and last input points; interior
-control points come from a linear least-squares solve.  A few Newton
-parameter-correction sweeps refine the chord-length initialization so that
-points sampled from an exact lower-degree curve are recovered exactly.
+control points come from one linear least-squares solve at the points'
+chord-length parameters.
 """
 
 from __future__ import annotations
@@ -35,12 +34,7 @@ def bezier_eval(control: np.ndarray, t) -> np.ndarray:
     return bernstein_matrix(t, len(control)) @ control
 
 
-def _derivative_controls(control: np.ndarray) -> np.ndarray:
-    n = len(control) - 1
-    return n * np.diff(control, axis=0)
-
-
-def fit_bezier(points, n_control: int, max_iter: int = 1000) -> np.ndarray:
+def fit_bezier(points, n_control: int) -> np.ndarray:
     """Fit an (n_control - 1)-degree Bezier curve to an ordered point list."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -50,23 +44,7 @@ def fit_bezier(points, n_control: int, max_iter: int = 1000) -> np.ndarray:
     if len(points) < n_control:
         raise ValueError(f"need at least {n_control} points, got {len(points)}")
 
-    t = chord_length_params(points)
-    control = _solve(points, t, n_control)
-    last_res = _max_residual(points, control, t)
-    for _ in range(max_iter):
-        if last_res < 1e-12:
-            break
-        t = _reparameterize(points, control)
-        control = _solve(points, t, n_control)
-        res = _max_residual(points, control, t)
-        if last_res - res < 1e-15:
-            break
-        last_res = res
-    return control
-
-
-def _solve(points: np.ndarray, t: np.ndarray, n_control: int) -> np.ndarray:
-    b = bernstein_matrix(t, n_control)
+    b = bernstein_matrix(chord_length_params(points), n_control)
     p0, pn = points[0], points[-1]
     control = np.empty((n_control, points.shape[1]))
     control[0] = p0
@@ -76,35 +54,6 @@ def _solve(points: np.ndarray, t: np.ndarray, n_control: int) -> np.ndarray:
         interior, *_ = np.linalg.lstsq(b[:, 1:-1], rhs, rcond=None)
         control[1:-1] = interior
     return control
-
-
-def _max_residual(points, control, t):
-    return float(np.max(np.linalg.norm(bezier_eval(control, t) - points, axis=1)))
-
-
-def _reparameterize(points, control):
-    """Re-assign each point the parameter of its nearest curve location:
-    coarse dense-grid projection followed by Newton polish."""
-    grid = np.linspace(0.0, 1.0, max(128, 8 * len(points)))
-    curve = bezier_eval(control, grid)
-    d2_all = ((points[:, None, :] - curve[None, :, :]) ** 2).sum(axis=2)
-    t_new = grid[np.argmin(d2_all, axis=1)]
-
-    d1 = _derivative_controls(control)
-    d2 = _derivative_controls(d1) if len(d1) >= 2 else np.zeros((1, control.shape[1]))
-    for _ in range(4):
-        c = bezier_eval(control, t_new)
-        cp = bezier_eval(d1, t_new)
-        cpp = bezier_eval(d2, t_new)
-        diff = c - points
-        num = np.einsum("ij,ij->i", diff, cp)
-        den = np.einsum("ij,ij->i", cp, cp) + np.einsum("ij,ij->i", diff, cpp)
-        step = np.zeros_like(num)
-        mask = np.abs(den) > 1e-30
-        step[mask] = num[mask] / den[mask]
-        t_new = np.clip(t_new - step, 0.0, 1.0)
-    t_new[0], t_new[-1] = 0.0, 1.0
-    return t_new
 
 
 def sample_curve(control: np.ndarray, step: float) -> np.ndarray:

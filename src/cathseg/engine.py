@@ -268,10 +268,9 @@ def walk(vol: Volume3D, tip, plane: BasePlane, config: SegmentationConfig,
 
     pts = np.asarray(points)
     # fit against the densified polyline: a square interpolating fit through
-    # the raw points would amplify their sub-voxel jitter near the curve ends;
-    # a short refinement budget suffices for smoothing fits
+    # the raw points would amplify their sub-voxel jitter near the curve ends
     control = fit_bezier(resample_polyline(pts, max(d_seg / 8.0, 0.5), len(pts)),
-                         len(pts), max_iter=15)
+                         len(pts))
     return Trajectory(points=pts, bezier_control=control, provenance=tags,
                       estimates={"a": est.a, "alpha0_sum": est.alpha0_sum,
                                  "f0_est": est.f0_est},

@@ -58,7 +58,13 @@ class CatheterSpec:
         if len(self.entry_point) != 2 or not np.all(np.isfinite(self.entry_point)):
             raise ValueError(f"entry_point must be two finite numbers, "
                              f"got {self.entry_point}")
+        if not math.isfinite(self.core_intensity):
+            raise ValueError(f"core_intensity must be finite, got {self.core_intensity}")
         self.dropouts = [tuple(float(x) for x in w) for w in self.dropouts]
+        for w in self.dropouts:
+            if len(w) != 2 or not np.all(np.isfinite(w)) or w[1] < 0:
+                raise ValueError(f"a dropout must be two finite numbers (arc_start, "
+                                 f"arc_len) with arc_len >= 0, got {w}")
 
 
 @dataclass

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cathseg.bezier import bezier_eval, chord_length_params, fit_bezier, \
-    resample_polyline, sample_curve
+from cathseg.bezier import bernstein_matrix, bezier_eval, chord_length_params, \
+    fit_bezier, resample_polyline, sample_curve
 
 
 def test_straight_line_reproduced_exactly():
@@ -39,12 +39,28 @@ def test_square_system_interpolates():
     assert _point_to_curve(points, control) < 1e-6
 
 
-def test_recovers_quadratic_control_points():
+@pytest.mark.parametrize("n_control", [3, 5])
+def test_interior_controls_solve_normal_equations_at_chord_length_params(n_control):
     control_true = np.array([[0.0, 0.0, 0.0], [35.0, 22.0, 10.0], [80.0, -5.0, 40.0]])
-    t = np.linspace(0.0, 1.0, 25)
-    points = bezier_eval(control_true, t)
-    control = fit_bezier(points, 3)
-    assert np.max(np.abs(control - control_true)) < 1e-6
+    points = bezier_eval(control_true, np.linspace(0.0, 1.0, 25))
+    control = fit_bezier(points, n_control)
+    b = bernstein_matrix(chord_length_params(points), n_control)
+    # the residual at the chord-length parameters is orthogonal to every
+    # interior basis column
+    assert np.abs(b[:, 1:-1].T @ (points - b @ control)).max() < 1e-9
+
+
+def test_arc_fit_stays_within_a_hundredth_of_a_millimetre():
+    radius, length = 60.0, 80.0
+    theta = np.linspace(0.0, length / radius, 801)
+    arc = np.stack([radius * np.sin(theta), radius * (1.0 - np.cos(theta)),
+                    np.zeros_like(theta)], axis=1)
+    control = fit_bezier(resample_polyline(arc, 1.0), 8)
+    curve = bezier_eval(control, np.linspace(0.0, 1.0, 4001)) - [0.0, radius, 0.0]
+    angle = np.arctan2(curve[:, 0], -curve[:, 1])
+    assert angle.min() > -1e-9 and angle.max() < length / radius + 1e-9
+    assert np.abs(np.linalg.norm(curve, axis=1) - radius).max() < 0.01
+    assert _point_to_curve(arc[::10], control) < 0.01
 
 
 def test_cubic_fit_stays_on_sampled_curve():

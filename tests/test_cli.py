@@ -192,6 +192,16 @@ def test_phantom_bad_spec_exit_code(tmp_path):
     '"deflection_azimuth": 0, "entry_point": [0]}]}',
     '{"dims": [40, 40, 40], "catheters": [{"f0": 0, "insertion_depth": 20, '
     '"deflection_azimuth": 0, "entry_point": [0, NaN]}]}',
+    '{"dims": [40, 40, 40], "catheters": [{"f0": 0, "insertion_depth": 20, '
+    '"deflection_azimuth": 0, "entry_point": [0, 0], "core_intensity": NaN}]}',
+    '{"dims": [40, 40, 40], "catheters": [{"f0": 0, "insertion_depth": 20, '
+    '"deflection_azimuth": 0, "entry_point": [0, 0], "core_intensity": Infinity}]}',
+    '{"dims": [40, 40, 40], "catheters": [{"f0": 0, "insertion_depth": 20, '
+    '"deflection_azimuth": 0, "entry_point": [0, 0], "dropouts": [[NaN, 5]]}]}',
+    '{"dims": [40, 40, 40], "catheters": [{"f0": 0, "insertion_depth": 20, '
+    '"deflection_azimuth": 0, "entry_point": [0, 0], "dropouts": [[5, -1]]}]}',
+    '{"dims": [40, 40, 40], "catheters": [{"f0": 0, "insertion_depth": 20, '
+    '"deflection_azimuth": 0, "entry_point": [0, 0], "dropouts": [[5, 2, 1]]}]}',
     '{"dims": [40, 40, 40], "bloom": {"enabled": true, "rim_radius": 0}}',
     '{"dims": [40, 40, 40], "bloom": {"enabled": true, "rim_radius": Infinity}}',
     '{"dims": [40, 40, 40], "bloom": {"enabled": true, "rim_gain": NaN}}',
@@ -202,6 +212,8 @@ def test_phantom_bad_spec_exit_code(tmp_path):
         "distractor_center_nan", "distractor_radius_zero", "tube_radius_negative",
         "background_intensity_nan", "noise_sigma_nan", "background_intensity_zero",
         "background_intensity_negative", "entry_point_one_number", "entry_point_nan",
+        "core_intensity_nan", "core_intensity_infinite", "dropout_start_nan",
+        "dropout_length_negative", "dropout_three_numbers",
         "rim_radius_zero", "rim_radius_infinite", "rim_gain_nan", "rim_gain_negative"])
 def test_phantom_invalid_spec_exit_code(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
