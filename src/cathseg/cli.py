@@ -148,10 +148,11 @@ def cmd_phantom(args, argv) -> int:
         spec = load_phantom_spec(args.spec)
         config = _load_config_arg(args)
         find_max_force(config.model)      # raises for a spring no force loads
-        # generation checks dims, spacing, distractor kinds and insertion
-        # depths against the model: its ValueErrors are input errors too
+        # generation checks positive dims and spacing, distractor kinds,
+        # insertion depths and voxel overflow: its errors are input errors too
         vol, gold, seeds = generate_phantom(spec, config.model)
-    except (OSError, KeyError, RuntimeError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, RuntimeError, TypeError, ValueError,
+            FloatingPointError, OverflowError) as exc:
         print(f"phantom input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     save_volume(vol, out / "volume.nrrd")

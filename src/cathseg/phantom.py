@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings as _warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -110,6 +111,9 @@ class PhantomSpec:
     plane_offset: float = 4.0    # mm, base plane distance from the volume origin face
 
     def __post_init__(self):
+        # positivity is Volume3D's check
+        self.dims = _three("dims", self.dims, int)
+        self.spacing = _three("spacing", self.spacing, float)
         if not 0 < self.tube_radius < math.inf:
             raise ValueError(f"tube_radius must be positive and finite, "
                              f"got {self.tube_radius}")
@@ -121,18 +125,29 @@ class PhantomSpec:
                              f"got {self.noise_sigma}")
 
 
+def _three(name: str, values, kind) -> tuple:
+    """Three finite numbers as a tuple of ``kind``; for int each must be
+    integral (32.0 is).  ValueError for anything else."""
+    items = tuple(values) if isinstance(values, (list, tuple)) else ()
+    if len(items) != 3 or not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+            and (kind is float or float(x).is_integer()) for x in items):
+        noun = "integers" if kind is int else "finite numbers"
+        raise ValueError(f"{name} must be three {noun}, got {values!r}")
+    return tuple(kind(x) for x in items)
+
+
 def save_phantom_spec(spec: PhantomSpec, path):
     Path(path).write_text(json.dumps(asdict(spec), indent=2) + "\n")
 
 
 def load_phantom_spec(path) -> PhantomSpec:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("a phantom spec must be a JSON object")
     doc["bloom"] = BloomSpec(**doc.get("bloom", {}))
     doc["catheters"] = [CatheterSpec(**c) for c in doc.get("catheters", [])]
     doc["distractors"] = [DistractorSpec(**d) for d in doc.get("distractors", [])]
-    for key in ("dims", "spacing"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
     return PhantomSpec(**doc)
 
 
@@ -157,10 +172,10 @@ def _near_voxels(vol: Volume3D, points, reach):
     """Indices and world centers of the voxels within ``ceil(reach /
     spacing) + 1`` voxels, per axis, of the voxel holding one of ``points``
     (clamped into the volume): every voxel center closer than ``reach`` to a
-    point is among them."""
+    point is among them.  A reach past the volume's extent spans it all."""
     shape = np.asarray(vol.dims)
     held = np.clip(np.floor(vol.world_to_voxel(points)).astype(int), 0, shape - 1)
-    pad = np.ceil(reach / vol.spacing).astype(int) + 1
+    pad = np.ceil(np.minimum(reach, shape * vol.spacing) / vol.spacing).astype(int) + 1
     lo = np.maximum(held.min(axis=0) - pad, 0)
     hi = np.minimum(held.max(axis=0) + pad + 1, shape)
     mask = np.zeros(hi - lo, dtype=bool)
@@ -207,10 +222,12 @@ def _stamp_tube(vol: Volume3D, poly, radius, edge, floor: float = 0.0,
         vol.data[vox] = vol.data[vox] + (rim.rim_gain * bump).astype(np.float32)
 
 
+@np.errstate(over="raise")
 def generate_phantom(spec: PhantomSpec,
                      model: SpringModelParams) -> tuple[Volume3D, list, SeedSet]:
-    """Build (volume, gold centerlines, seeds) from a phantom spec."""
-    dims = tuple(int(d) for d in spec.dims)
+    """Build (volume, gold centerlines, seeds) from a phantom spec; a voxel
+    past float32's range raises FloatingPointError."""
+    dims = spec.dims
     spacing = np.asarray(spec.spacing, dtype=float)
     origin = np.zeros(3)
     extent = (np.asarray(dims) - 1) * spacing

@@ -5,8 +5,9 @@ forward scheme walks from the clamped base with a given tip-effective force
 and yields per-segment deflection angles; the backward scheme starts from a
 (tip) state estimate and walks proximally.  ``solve_at_depth`` inverts the
 forward scheme by bisection on the catheter cut at a plane depth; a dense
-table over (length a, lateral deflection d) built from forward sweeps maps
-tip positions back to the force that produced them for inspection.
+table over (length a, lateral deflection d), read off a forward force sweep
+at its node depths, maps tip positions back to the force that produced them
+for inspection.
 
 Units: forces in uN, the spring constant in uN*m per radian (the recurrence
 ``alpha = F / k_a`` is applied numerically with the lever arm absorbed into
@@ -199,7 +200,11 @@ def solve_at_depth(params: SpringModelParams, depth: float,
         cut = cut_at_depth(params, f, depth)
         return cut is not None and short(cut)
 
-    lo, hi = bracket_threshold(below, 1.0, 60)
+    bracket = bracket_threshold(below, 1.0, 60)
+    if bracket is None:
+        raise ValueError(f"a spring of k_a = {params.k_a:g} is too stiff: no tip "
+                         f"force up to 2**200 uN bends it enough at depth {depth:g} mm")
+    lo, hi = bracket
     if cut_at_depth(params, hi, depth) is None:
         return lo, False
     return 0.5 * (lo + hi), True
@@ -239,12 +244,10 @@ class LookupResult:
 class ModelTable:
     """Dense interpolated map (a, d) -> (tip force, local total angle).
 
-    Built by scattering every segment endpoint of a forward force sweep into
-    an (a, d) node lattice.  Each node stores the tip-effective force of the
-    catheter passing through it (smallest such force where several coincide,
-    which pins the undeflected axis to F = 0) and the local running angle at
-    that point.  The force-free d = 0 column gives every a-row a node, so
-    1D linear interpolation along d per a-row fills the remaining gaps.
+    Node (a_i, d_j) holds the tip-effective force of the catheter that
+    crosses depth a_i at offset d_j, and its running angle there, both
+    interpolated between the catheters of a forward force sweep; past its
+    tip a catheter runs straight on at its last angle.
     """
 
     f_grid: np.ndarray       # (res, res), [a-index, d-index]
@@ -263,59 +266,36 @@ class ModelTable:
 
 
 def build_model_table(params: SpringModelParams) -> ModelTable:
-    """Sweep 200 forces in [0, f_max] and grid the resulting support points
-    on a 100 x 100 (a, d) lattice."""
+    """Read the catheters of a 200-force sweep over [0, f_max] at 100 node
+    depths a; each depth's row interpolates force and angle over their d."""
     resolution = 100
     f_max = find_max_force(params)
     forces = np.linspace(0.0, f_max, 200)
-    a_pts, d_pts, f_pts, al_pts = [], [], [], []
+    a_nodes = np.linspace(0.0, params.total_length, resolution)
+    d_at, alpha_at, d_end = [], [], 0.0
     for f0 in forces:
         state = simulate_forward(params, float(f0))
-        a_pts.append(state.positions[:, 0])
-        d_pts.append(state.positions[:, 1])
-        f_pts.append(np.full(params.n_seg + 1, f0))
+        last = state.alpha_sum[-1]
+        # past its tip the catheter runs straight on at its last angle, one
+        # catheter length further along a: beyond the last node depth
+        tail = state.positions[-1] + params.total_length * np.array([1.0, math.tan(last)])
+        a, d = np.vstack([state.positions, tail]).T
         # endpoint p >= 1 carries the angle of segment p-1; the base point is flat
-        al_pts.append(np.concatenate([[0.0], state.alpha_sum]))
-    a_pts = np.concatenate(a_pts)
-    d_pts = np.concatenate(d_pts)
-    f_pts = np.concatenate(f_pts)
-    al_pts = np.concatenate(al_pts)
+        angles = np.concatenate([[0.0], state.alpha_sum, [last]])
+        d_at.append(np.interp(a_nodes, a, d))
+        alpha_at.append(np.interp(a_nodes, a, angles))
+        d_end = max(d_end, d[-2])          # the tip deflects furthest
+    d_nodes = np.linspace(0.0, d_end, resolution)
 
-    a_nodes = np.linspace(0.0, params.total_length, resolution)
-    d_nodes = np.linspace(0.0, float(d_pts.max()), resolution)
-    a_step = a_nodes[1] - a_nodes[0]
-    d_step = d_nodes[1] - d_nodes[0]
-
-    ia = np.clip(np.rint(a_pts / a_step).astype(int), 0, resolution - 1)
-    id_ = np.clip(np.rint(d_pts / d_step).astype(int), 0, resolution - 1)
-    flat = ia * resolution + id_
-
-    # smallest force wins where several samples land in one node: the forces
-    # ascend, so a node's first sample has its smallest force
-    _, keep = np.unique(flat, return_index=True)
-
-    f_grid = np.full((resolution, resolution), np.nan)
-    alpha_grid = np.full((resolution, resolution), np.nan)
-    f_grid.flat[flat[keep]] = f_pts[keep]
-    alpha_grid.flat[flat[keep]] = al_pts[keep]
-    # the undeflected catheter bounds the fan continuously, not just at its
-    # segment endpoints: the whole d = 0 column is force-free
-    f_grid[:, 0] = 0.0
-    alpha_grid[:, 0] = 0.0
-
-    _fill_rows(f_grid, d_nodes)
-    _fill_rows(alpha_grid, d_nodes)
-    # the physical map is nondecreasing in d at fixed a; iron out binning ripple
-    np.maximum.accumulate(f_grid, axis=1, out=f_grid)
-
+    f_grid, alpha_grid = np.empty((2, resolution, resolution))
+    for i, (d, alpha) in enumerate(zip(np.transpose(d_at), np.transpose(alpha_at))):
+        # the offsets rise with the force; where they tie (every catheter is
+        # straight along its first segment) the smallest force wins
+        d, first = np.unique(d, return_index=True)
+        f_grid[i] = np.interp(d_nodes, d, forces[first])
+        alpha_grid[i] = np.interp(d_nodes, d, alpha[first])
     return ModelTable(f_grid=f_grid, alpha_grid=alpha_grid, a_nodes=a_nodes,
                       d_nodes=d_nodes, f_max=f_max)
-
-
-def _fill_rows(grid: np.ndarray, d_nodes: np.ndarray):
-    for row in grid:
-        known = ~np.isnan(row)
-        row[:] = np.interp(d_nodes, d_nodes[known], row[known])
 
 
 def lookup(table: ModelTable, a: float, d: float) -> LookupResult:

@@ -206,6 +206,19 @@ def test_phantom_bad_spec_exit_code(tmp_path):
     '{"dims": [40, 40, 40], "bloom": {"enabled": true, "rim_radius": Infinity}}',
     '{"dims": [40, 40, 40], "bloom": {"enabled": true, "rim_gain": NaN}}',
     '{"dims": [40, 40, 40], "bloom": {"enabled": true, "rim_gain": -60}}',
+    # JSON text: no JSON object, or dims and spacing that are not three numbers
+    '[]',
+    '{"dims": [32.5, 32, 32]}',
+    '{"dims": [40, 40]}',
+    '{"dims": [40, 40, true]}',
+    '{"dims": [40, 40, 40], "spacing": [0.5, 0.5]}',
+    '{"dims": [40, 40, 40], "spacing": [0.5, NaN, 1.0]}',
+    # JSON text: voxel intensities past float32's range
+    '{"dims": [40, 40, 40], "background_intensity": 1e300}',
+    '{"dims": [40, 40, 40], "noise_sigma": 1e39}',
+    '{"dims": [40, 40, 40], "bloom": {"enabled": true, "rim_gain": 1e39}, '
+    '"catheters": [{"f0": 20, "insertion_depth": 20, "deflection_azimuth": 0, '
+    '"entry_point": [0, 0]}]}',
 ], ids=["insertion_beyond_length", "unknown_distractor_kind", "empty_dims",
         "zero_spacing", "zero_insertion_depth", "negative_insertion_depth",
         "depth_never_reached", "over_deflected", "distractor_end_infinite",
@@ -214,7 +227,10 @@ def test_phantom_bad_spec_exit_code(tmp_path):
         "background_intensity_negative", "entry_point_one_number", "entry_point_nan",
         "core_intensity_nan", "core_intensity_infinite", "dropout_start_nan",
         "dropout_length_negative", "dropout_three_numbers",
-        "rim_radius_zero", "rim_radius_infinite", "rim_gain_nan", "rim_gain_negative"])
+        "rim_radius_zero", "rim_radius_infinite", "rim_gain_nan", "rim_gain_negative",
+        "spec_not_object", "dims_fractional", "dims_two", "dims_bool", "spacing_two",
+        "spacing_nan",
+        "background_intensity_overflow", "noise_sigma_overflow", "rim_gain_overflow"])
 def test_phantom_invalid_spec_exit_code(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     if isinstance(spec, str):

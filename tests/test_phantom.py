@@ -125,6 +125,25 @@ def test_distractors_darken_volume(model):
     assert (vol.data < 50.0).sum() > (clean.data < 50.0).sum()
 
 
+def test_phantom_spec_holds_integer_dims_and_float_spacing():
+    spec = PhantomSpec(dims=[32.0, 32, 32], spacing=[1, 1, 0.5])
+    assert spec.dims == (32, 32, 32) and all(type(n) is int for n in spec.dims)
+    assert spec.spacing == (1.0, 1.0, 0.5) and all(type(x) is float for x in spec.spacing)
+
+
+@pytest.mark.parametrize("spec", [
+    PhantomSpec(dims=(24, 20, 16), distractors=[
+        DistractorSpec(kind="blob", p0=(5.0, 5.0, 5.0), radius=1e308)]),
+    PhantomSpec(dims=(24, 20, 16), tube_radius=1e308, catheters=[
+        CatheterSpec(f0=20.0, insertion_depth=10.0, deflection_azimuth=0.0,
+                     entry_point=(0.0, 0.0))])], ids=["blob", "tube"])
+def test_reach_past_the_volume_darkens_every_voxel(model, spec):
+    """A radius wider than the volume reaches all of it: the stamp's reach is
+    capped at the volume's extent, so its voxel padding cannot overflow."""
+    vol, _, _ = generate_phantom(spec, model)
+    assert np.all(vol.data == 0.0)
+
+
 def test_phantom_spec_json_round_trip(tmp_path):
     spec = PhantomSpec(dims=(64, 64, 48), noise_sigma=3.5,
                        catheters=[CatheterSpec(f0=12.0, insertion_depth=40.0,

@@ -5,9 +5,9 @@ import pytest
 
 from cathseg.spring import (ModelTable, OverDeflectionError,
                             SingularConfigurationError, SpringModelParams,
-                            bracket_threshold, build_model_table,
+                            bracket_threshold, build_model_table, cut_at_depth,
                             export_table_csv, find_max_force, lookup,
-                            simulate_backward, simulate_forward)
+                            simulate_backward, simulate_forward, solve_at_depth)
 
 
 def scalar_recurrence_oracle(k_a, n_seg, seg_len, f0):
@@ -195,6 +195,56 @@ def test_tip_inversion_recovers_force(model, table):
         tip = simulate_forward(model, f0).tip_position
         res = lookup(table, float(tip[0]), float(tip[1]))
         assert abs(res.f_est - f0) / f0 < 0.05
+
+
+def test_table_nodes_hold_the_force_that_deflects_there(model, table):
+    """Every reachable node, with an offset below the largest that any sweep
+    catheter reaching its depth has there, holds within 1e-3 relative the
+    force that ``force_for_deflection`` bisects for it.  That force is the
+    threshold of the bisection's predicate, so the check is that the
+    catheter at 0.1 % less force stops short of the node and the one at
+    0.1 % more does not: two forward runs per node instead of ~70."""
+    def short(f, a, d):          # force_for_deflection's bisection predicate
+        cut = cut_at_depth(model, f, a)
+        return cut is not None and cut[-1, 1] < d
+
+    sweep = [simulate_forward(model, float(f)).positions
+             for f in np.linspace(0.0, table.f_max, 200)]
+    checked = 0
+    for i, a in enumerate(table.a_nodes[1:], start=1):
+        reach = max((np.interp(a, pos[:, 0], pos[:, 1]) for pos in sweep
+                     if pos[-1, 0] >= a), default=0.0)
+        for j, d in enumerate(table.d_nodes[1:], start=1):
+            if d < reach:
+                f = float(table.f_grid[i, j])
+                assert short(f * (1 - 1e-3), a, d) and not short(f * (1 + 1e-3), a, d)
+                checked += 1
+    assert checked > 5000
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_tip_inversion_within_half_percent(seed):
+    """Tips of the sweep's own catheters read back their force to 0.5 %, on
+    the default model (seed None) and on random spring models."""
+    params = SpringModelParams()
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        params = SpringModelParams(k_a=float(rng.uniform(500, 5000)),
+                                   n_seg=int(rng.integers(5, 30)),
+                                   total_length=float(rng.uniform(50, 250)))
+    table = build_model_table(params)
+    for frac in np.linspace(0.1, 0.9, 20):
+        f0 = float(frac * table.f_max)
+        tip = simulate_forward(params, f0).tip_position
+        res = lookup(table, float(tip[0]), float(tip[1]))
+        assert abs(res.f_est - f0) / f0 < 0.005
+
+
+def test_solve_at_depth_rejects_a_spring_too_stiff_to_bend():
+    """No force the bisection reaches bends such a spring: the search says
+    so instead of unpacking a bracket it never found."""
+    with pytest.raises(ValueError, match="too stiff"):
+        solve_at_depth(SpringModelParams(k_a=1e308), 80.0, lambda cut: cut[-1, 1] < 5.0)
 
 
 def test_lookup_continuity(table):
