@@ -120,7 +120,7 @@ def cmd_simulate(args, argv) -> int:
     t0 = time.perf_counter()
     try:
         config = _load_config_arg(args)
-        table = build_model_table(config.model)  # raises for a spring no force loads
+        table = build_model_table(config.model)  # raises for a spring too soft or too stiff
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
@@ -147,7 +147,7 @@ def cmd_phantom(args, argv) -> int:
     try:
         spec = load_phantom_spec(args.spec)
         config = _load_config_arg(args)
-        find_max_force(config.model)      # raises for a spring no force loads
+        find_max_force(config.model)      # raises for a spring too soft or too stiff
         # generation checks positive dims and spacing, distractor kinds,
         # insertion depths and voxel overflow: its errors are input errors too
         vol, gold, seeds = generate_phantom(spec, config.model)
@@ -173,7 +173,7 @@ def cmd_segment(args, argv) -> int:
         seeds = load_seeds(args.seeds)
         seeds.validate(vol)
         config = _load_config_arg(args)
-        find_max_force(config.model)      # raises for a spring no force loads
+        find_max_force(config.model)      # raises for a spring too soft or too stiff
     except (OSError, KeyError, RuntimeError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
@@ -197,11 +197,7 @@ def cmd_segment(args, argv) -> int:
 
 
 def _collect_numbered(path: Path, prefix: str) -> dict:
-    out = {}
-    for f in sorted(path.glob(f"{prefix}_*.json")):
-        stem = f.stem.rsplit("_", 1)[-1]
-        out[stem] = f
-    return out
+    return {f.stem.rsplit("_", 1)[-1]: f for f in sorted(path.glob(f"{prefix}_*.json"))}
 
 
 def cmd_evaluate(args, argv) -> int:

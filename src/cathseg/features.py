@@ -85,10 +85,12 @@ def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
                                + np.sin(ang)[None, :, None] * v[:, None, :])  # (C, m, 3)
 
     centers_v = vol.world_to_voxel(apex) + t[:, None] * rays_v[ray_of]      # (N, 3)
-    ring_pts_v = centers_v[:, None, :] + vol.vector_to_voxel(ring)[ray_of]  # (N, m, 3)
-
-    i_center = sample_voxel(vol, centers_v)
-    i_ring = sample_voxel(vol, ring_pts_v).reshape(-1, mask.n_ring_samples).mean(axis=1)
+    # one (N, 1 + m, 3) batch: each center (+ exact zeros keeps its bits), then its ring
+    offsets_v = np.concatenate([np.zeros((len(rays), 1, 3)), vol.vector_to_voxel(ring)], 1)
+    vals = sample_voxel(vol, centers_v[:, None, :] + offsets_v[ray_of])
+    vals = vals.reshape(-1, 1 + mask.n_ring_samples)
+    i_center = vals[:, 0]
+    i_ring = np.ascontiguousarray(vals[:, 1:]).mean(axis=1)    # the (N, m) block's sum order
     scores = np.bincount(ray_of, i_center - i_ring, minlength=len(rays)) / n_samp
     return scores, i_center
 

@@ -32,7 +32,6 @@ class OverDeflectionError(RuntimeError):
 
     def __init__(self, segment: int, alpha_sum: float):
         self.segment = segment
-        self.alpha_sum = alpha_sum
         super().__init__(
             f"over-deflection at segment {segment}: |alpha_sum| = {alpha_sum:.4f} rad >= pi/2")
 
@@ -41,8 +40,6 @@ class SingularConfigurationError(RuntimeError):
     """Backward step hit cos(alpha_sum) <= eps; the force division blows up."""
 
     def __init__(self, step: int, alpha_sum: float):
-        self.step = step
-        self.alpha_sum = alpha_sum
         super().__init__(
             f"singular configuration at backward step {step}: cos({alpha_sum:.4f}) <= {_COS_EPS}")
 
@@ -151,7 +148,7 @@ def find_max_force(params: SpringModelParams) -> float:
     """Largest tip force whose forward run keeps max |alpha_sum| < MAX_TOTAL_ANGLE.
 
     Deterministic doubling plus bisection; the result brackets the limit to
-    relative precision ~1e-12.
+    relative precision ~1e-12.  Raises for a limit of 0 or past 2**200 uN.
     """
     def ok(f):
         try:
@@ -164,6 +161,9 @@ def find_max_force(params: SpringModelParams) -> float:
     bracket = bracket_threshold(ok, start, 64)
     if bracket is None or bracket[0] == 0.0:
         raise RuntimeError("force sweep failed to bracket a positive force")
+    if bracket[0] > 2.0 ** 200:
+        raise RuntimeError(f"a spring of k_a = {params.k_a:g} is too stiff: no force "
+                           f"the search reaches (2**200 uN) bends it to its limit")
     return bracket[0]
 
 

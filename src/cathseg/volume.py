@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -71,14 +72,11 @@ class Volume3D:
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
         if self.data.shape != self.dims:
             raise ValueError(f"data shape {self.data.shape} != dims {self.dims}")
-        self._background = None
 
-    @property
+    @cached_property
     def background_intensity(self) -> float:
         """Default out-of-bounds intensity: the brightest voxel."""
-        if self._background is None:
-            self._background = float(self.data.max())
-        return self._background
+        return float(self.data.max())
 
     def vector_to_voxel(self, w) -> np.ndarray:
         """World displacements (..., 3) in voxel units along the grid axes."""
@@ -93,12 +91,17 @@ class Volume3D:
 
     def contains(self, p) -> np.ndarray | bool:
         """True where the world point lies inside the voxel-center hull."""
-        return self._in_hull(self.world_to_voxel(p))
+        u = self.world_to_voxel(p)
+        return self._clip_to_hull(u.reshape(-1, 3).T).reshape(u.shape[:-1])[()]
 
-    def _in_hull(self, u) -> np.ndarray | bool:
-        """``contains`` in voxel units (..., 3), up to round-trip rounding."""
-        hi = np.asarray(self.dims, dtype=float) - 1.0
-        return np.all((u >= -_HULL_EPS) & (u <= hi + _HULL_EPS), axis=-1)
+    def _clip_to_hull(self, coords: np.ndarray) -> np.ndarray:
+        """Which voxel points (3, n) lie in the hull, up to round-trip rounding,
+        tested one axis row at a time; then clips each row into it in place."""
+        inside = np.ones(coords.shape[1], dtype=bool)
+        for row, n in zip(coords, self.dims):
+            inside &= (row >= -_HULL_EPS) & (row <= n - 1.0 + _HULL_EPS)
+            np.clip(row, 0.0, n - 1.0, out=row)
+        return inside
 
 
 @dataclass
@@ -146,15 +149,14 @@ def distance_to_plane(plane: BasePlane, p) -> float | np.ndarray:
 
 
 def sample_voxel(vol: Volume3D, u: np.ndarray):
-    """Trilinear sampling at continuous voxel coordinates (n, 3).
+    """Trilinear sampling at continuous voxel coordinates (..., 3), flattened.
 
     Points outside the voxel-center hull return ``vol.background_intensity``
     (the volume maximum), so rays leaving the volume never look like dark
     voids.
     """
-    inside = vol._in_hull(u).reshape(-1)
-    hi = np.asarray(vol.dims, dtype=float) - 1.0
-    coords = np.clip(u.reshape(-1, 3).T, 0.0, hi[:, None])
+    coords = np.array(np.reshape(u, (-1, 3)).T, dtype=float, order="C")  # (3, n) copy
+    inside = vol._clip_to_hull(coords)
     vals = ndimage.map_coordinates(vol.data, coords, order=1, mode="nearest",
                                    output=np.float64)
     vals[~inside] = vol.background_intensity

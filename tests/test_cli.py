@@ -69,9 +69,10 @@ def test_simulate_writes_table_and_curves(tmp_path):
 config_errors = pytest.mark.parametrize("doc", [
     {"bogus": 1}, {"n_c": "8"}, {"n_rays": 0}, {"r_cone": "inf"},
     {"r_cone": math.nan}, {"k_a": "inf"}, {"ring_radius": math.nan},
-    {"total_length": "inf"}, {"k_a": 1e-20}],
+    {"total_length": "inf"}, {"k_a": 1e-20}, {"k_a": 1e308}],
     ids=["unknown_key", "string_bool", "n_rays_0", "r_cone_inf", "r_cone_nan",
-         "k_a_inf", "ring_radius_nan", "total_length_inf", "k_a_unloadable"])
+         "k_a_inf", "ring_radius_nan", "total_length_inf", "k_a_unloadable",
+         "k_a_too_stiff"])
 
 
 @config_errors
@@ -320,6 +321,19 @@ def test_segment_unloadable_spring_exit_code(tmp_path, capsys, phantom_dir):
     rc = _run_segment(phantom_dir, out, ["--config", str(cfg)])
     assert rc == cli.EXIT_FORMAT
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not list(out.glob("trajectory_*.json"))
+
+
+def test_segment_too_stiff_spring_exit_code(tmp_path, capsys, phantom_dir):
+    """A spring whose force limit lies past the force search's 2**200 uN
+    ceiling is rejected up front, not in one failure per bent catheter."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"k_a": 1e308}))
+    out = tmp_path / "stiff"
+    rc = _run_segment(phantom_dir, out, ["--config", str(cfg)])
+    assert rc == cli.EXIT_FORMAT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "too stiff" in err[0]
     assert not list(out.glob("trajectory_*.json"))
 
 

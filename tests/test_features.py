@@ -218,20 +218,29 @@ def test_cone_search_localization_converges():
 def test_ray_sampled_every_half_voxel_of_its_own_length(monkeypatch, axis,
                                                         samples_per_mm):
     """On 0.5 x 0.5 x 1.0 mm voxels a ray of length L draws 2L + 1 samples
-    along z and 4L + 1 along x, each with its ring."""
+    along z and 4L + 1 along x, each with its ring; each ray batch samples
+    its centers and rings in one call."""
     vol = uniform_volume()
     points = []
+    batches = []
     real = features.sample_voxel
+    real_scores = features._ray_scores
 
     def counting(v, u):
         points.append(u.size // 3)
         return real(v, u)
 
+    def counting_scores(v, apex, targets, mask):
+        batches.append(len(targets))
+        return real_scores(v, apex, targets, mask)
+
     monkeypatch.setattr(features, "sample_voxel", counting)
+    monkeypatch.setattr(features, "_ray_scores", counting_scores)
     length = 10.0
     apex = np.array([5.0, 5.0, 5.0])
     cone_search(vol, apex, apex + length * np.eye(3)[axis], 0.0, 1, MASK)
     assert sum(points) == (samples_per_mm * length + 1) * (1 + MASK.n_ring_samples)
+    assert len(points) == len(batches) == 2      # the coarse ray, an empty fine pass
 
 
 def test_cone_casts_coarse_then_three_refinement_discs(monkeypatch):

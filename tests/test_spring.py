@@ -127,6 +127,15 @@ def test_find_max_force_rejects_model_too_soft_for_any_force():
         find_max_force(SpringModelParams(k_a=1e-20))
 
 
+def test_find_max_force_rejects_model_too_stiff_for_the_force_search():
+    """A limit past 2**200 uN, where solve_at_depth stops doubling, is
+    rejected; just below that ceiling, and for the default spring, it is not."""
+    with pytest.raises(RuntimeError, match="too stiff"):
+        find_max_force(SpringModelParams(k_a=1e308))
+    assert find_max_force(SpringModelParams(k_a=2e60)) < 2.0 ** 200
+    assert find_max_force(SpringModelParams()) < 2.0 ** 200
+
+
 # ---------------------------------------------------------------------------
 # model table
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy import ndimage
 
 from cathseg.volume import (BasePlane, SeedSet, TruncatedVolumeError, Volume3D,
                             VolumeFormatError, distance_to_plane, load_seeds,
@@ -197,6 +198,50 @@ def test_sample_batch_shapes():
     out = sample_voxel(vol, vol.world_to_voxel(np.ones((3, 5, 3))))
     assert out.shape == (15,)          # one value per point, flattened
     assert np.all(out == 1.0)
+
+
+def _reference_hull_and_samples(vol, u):
+    """The hull mask reduced over the last axis, and ``map_coordinates`` on
+    the clipped points, the way ``sample_voxel`` was first written."""
+    hi = np.asarray(vol.dims, dtype=float) - 1.0
+    inside = np.all((u >= -1e-9) & (u <= hi + 1e-9), axis=-1).reshape(-1)
+    coords = np.clip(u.reshape(-1, 3).T, 0.0, hi[:, None])
+    vals = ndimage.map_coordinates(vol.data, coords, order=1, mode="nearest",
+                                   output=np.float64)
+    vals[~inside] = vol.data.max()
+    return inside, vals
+
+
+def _hull_probe_points(dims, rng):
+    """(n, 3) voxel points inside the hull, outside it, on its faces and
+    corners, and within +-1e-9 voxel of each face."""
+    hi = np.asarray(dims, dtype=float) - 1.0
+    pts = [rng.uniform(0.0, hi, size=(64, 3)), rng.uniform(-2.0, hi + 2.0, size=(64, 3)),
+           np.where(rng.random((16, 3)) < 0.5, 0.0, hi)]
+    offsets = [0.0, 5e-10, -5e-10, 1e-9, -1e-9, np.nextafter(1e-9, 1.0),
+               np.nextafter(-1e-9, -1.0), 2e-9, -2e-9]
+    for axis in range(3):
+        for face, outward in ((0.0, -1.0), (hi[axis], 1.0)):
+            near = rng.uniform(0.0, hi, size=(len(offsets), 3))
+            near[:, axis] = face + outward * np.asarray(offsets)
+            pts.append(near)
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("lead", [(-1,), (9, -1)], ids=["n", "a_b"])
+def test_sample_voxel_matches_reference_bit_for_bit(lead):
+    rng = np.random.default_rng(18)
+    vol = make_volume(rng.uniform(0.0, 100.0, size=(7, 5, 4)))
+    u = _hull_probe_points(vol.dims, rng).reshape(lead + (3,))     # 198 points
+    before = u.copy()
+    inside, expected = _reference_hull_and_samples(vol, u)
+    assert inside.any() and not inside.all()
+    assert sample_voxel(vol, u).tobytes() == expected.tobytes()
+    assert np.array_equal(u, before)       # the sampler clips its own copy
+    # on an identity grid world and voxel coordinates coincide exactly
+    assert np.array_equal(vol.contains(u), inside.reshape(u.shape[:-1]))
+    for p, expected_inside in zip(u.reshape(-1, 3), inside):
+        assert vol.contains(p) is np.bool_(expected_inside)    # one point, one scalar
 
 
 def test_distance_to_plane_basics():
