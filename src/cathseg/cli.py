@@ -7,7 +7,7 @@ engine over a seed file, and ``evaluate`` scores trajectories against gold.
 Every command drops a manifest JSON capturing config, inputs and timings.
 
 Exit codes: 0 success, 2 usage, 3 input format, 4 partial segmentation
-failure.
+failure.  ``main`` maps every input error that a command raises to exit 3.
 """
 
 from __future__ import annotations
@@ -37,6 +37,12 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_PARTIAL = 4
+
+# what reading or checking an input raises: file access, JSON decoding and
+# nesting depth, shape and range checks (the spring check's included), and
+# numbers past float range (FloatingPointError: a voxel past float32's)
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, RecursionError,
+                OverflowError, FloatingPointError)
 
 def config_to_dict(config) -> dict:
     """Flat JSON form of a config: the fields of SegmentationConfig with the
@@ -112,18 +118,19 @@ def _load_config_arg(args) -> SegmentationConfig:
         doc = json.loads(Path(args.config).read_text())
     if getattr(args, "dtol", None) is not None:
         doc["d_tol"] = float(args.dtol)
-    return config_from_dict(doc)
+    config = config_from_dict(doc)
+    try:
+        find_max_force(config.model)
+    except RuntimeError as exc:       # a spring too soft or too stiff
+        raise ValueError(str(exc)) from None
+    return config
 
 
 def cmd_simulate(args, argv) -> int:
     out = Path(args.out_dir)
     t0 = time.perf_counter()
-    try:
-        config = _load_config_arg(args)
-        table = build_model_table(config.model)  # raises for a spring too soft or too stiff
-    except (OSError, RuntimeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+    config = _load_config_arg(args)
+    table = build_model_table(config.model)
     export_table_csv(table, out / "model_table.csv")
 
     f_max = table.f_max
@@ -144,17 +151,10 @@ def cmd_simulate(args, argv) -> int:
 def cmd_phantom(args, argv) -> int:
     out = Path(args.out_dir)
     t0 = time.perf_counter()
-    try:
-        spec = load_phantom_spec(args.spec)
-        config = _load_config_arg(args)
-        find_max_force(config.model)      # raises for a spring too soft or too stiff
-        # generation checks positive dims and spacing, distractor kinds,
-        # insertion depths and voxel overflow: its errors are input errors too
-        vol, gold, seeds = generate_phantom(spec, config.model)
-    except (OSError, KeyError, RuntimeError, TypeError, ValueError,
-            FloatingPointError, OverflowError) as exc:
-        print(f"phantom input error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+    spec = load_phantom_spec(args.spec)
+    config = _load_config_arg(args)
+    # generation checks dims, spacing, distractor kinds, depths and overflow
+    vol, gold, seeds = generate_phantom(spec, config.model)
     save_volume(vol, out / "volume.nrrd")
     save_seeds(seeds, out / "seeds.json")
     for i, g in enumerate(gold):
@@ -167,16 +167,10 @@ def cmd_phantom(args, argv) -> int:
 
 def cmd_segment(args, argv) -> int:
     out = Path(args.out_dir)
-    # a malformed volume raises ValueError, a truncated one OSError
-    try:
-        vol = load_volume(args.volume)
-        seeds = load_seeds(args.seeds)
-        seeds.validate(vol)
-        config = _load_config_arg(args)
-        find_max_force(config.model)      # raises for a spring too soft or too stiff
-    except (OSError, KeyError, RuntimeError, TypeError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+    vol = load_volume(args.volume)
+    seeds = load_seeds(args.seeds)
+    seeds.validate(vol)
+    config = _load_config_arg(args)
 
     # one task per tip, so that --jobs spreads the catheters over workers
     tasks = [(vol, seeds.plane, [tip]) for tip in seeds.tips]
@@ -206,22 +200,20 @@ def cmd_evaluate(args, argv) -> int:
     gold_files = _collect_numbered(gold_dir, "gold")
     pred_files = _collect_numbered(pred_dir, "trajectory")
     if not gold_files or set(gold_files) != set(pred_files):
-        print(f"pairing error: gold ids {sorted(gold_files)} vs "
+        print(f"cathseg evaluate: pairing error: gold ids {sorted(gold_files)} vs "
               f"trajectory ids {sorted(pred_files)}", file=sys.stderr)
         return EXIT_FORMAT
 
     t0 = time.perf_counter()
-    scores = []
-    trajs, golds = [], []
+    scores, trajs, golds = [], [], []
     for key in sorted(gold_files):
         try:
             golds.append(load_trajectory(gold_files[key]))
             trajs.append(load_trajectory(pred_files[key]))
             scores.append(score_catheter(trajs[-1], golds[-1], f"c{key}",
                                          args.experiment))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            print(f"trajectory input error for id {key}: {exc}", file=sys.stderr)
-            return EXIT_FORMAT
+        except INPUT_ERRORS as exc:       # main reports it, naming the pair
+            raise ValueError(f"for id {key}: {exc}") from exc
     report = ExperimentReport(scores=scores)
     write_scores_csv(report, out / "scores.csv")
     write_summary_json(report, out / "summary.json")
@@ -282,10 +274,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     handlers = {"simulate": cmd_simulate, "phantom": cmd_phantom,
                 "segment": cmd_segment, "evaluate": cmd_evaluate}
-    return handlers[args.command](args, argv)
+    try:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        return handlers[args.command](args, argv)
+    except INPUT_ERRORS as exc:
+        print(f"cathseg {args.command}: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
 
 
 def entry():

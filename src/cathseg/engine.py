@@ -104,13 +104,18 @@ def load_trajectory(path) -> Trajectory:
     if not isinstance(doc, dict):
         raise ValueError("trajectory must be a JSON object")
     bez = doc.get("bezier")
-    estimates = {k: float(v) for k, v in dict(doc.get("estimates", {})).items()}
+    estimates = doc.get("estimates", {})
+    provenance = doc.get("provenance", [])
+    warnings = doc.get("warnings", [])
+    if not (isinstance(estimates, dict) and isinstance(provenance, list)
+            and isinstance(warnings, list)):
+        raise ValueError("trajectory estimates must be a JSON object, and its "
+                         "provenance and warnings JSON arrays")
+    estimates = {k: float(v) for k, v in estimates.items()}
     if not all(math.isfinite(v) for v in estimates.values()):
         raise ValueError("trajectory estimates must be finite numbers")
-    provenance = list(doc.get("provenance", []))
     if not all(tag in (TAG_IMAGE, TAG_MODEL, TAG_COMPROMISE) for tag in provenance):
         raise ValueError("trajectory provenance tags must be image, model or compromise")
-    warnings = list(doc.get("warnings", []))
     if not all(isinstance(w, str) for w in warnings):
         raise ValueError("trajectory warnings must be strings")
     return Trajectory(points=_curve_points(doc["points"], "points"),

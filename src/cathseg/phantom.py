@@ -75,6 +75,8 @@ class BloomSpec:
     rim_gain: float = 60.0       # intensity added at the rim peak
 
     def __post_init__(self):
+        if not isinstance(self.enabled, bool):      # a string would be truthy
+            raise ValueError(f"bloom enabled must be true or false, got {self.enabled!r}")
         if not (0 < self.rim_radius < math.inf and 0 <= self.rim_gain < math.inf):
             raise ValueError(f"bloom needs a positive finite rim_radius and a finite "
                              f"non-negative rim_gain, got {self.rim_radius}, {self.rim_gain}")
@@ -123,6 +125,11 @@ class PhantomSpec:
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be finite and non-negative, "
                              f"got {self.noise_sigma}")
+        # checked with or without noise, since the manifest records it
+        if not (isinstance(self.rng_seed, numbers.Integral)
+                and not isinstance(self.rng_seed, bool) and self.rng_seed >= 0):
+            raise ValueError(f"rng_seed must be a non-negative integer, "
+                             f"got {self.rng_seed!r}")
 
 
 def _three(name: str, values, kind) -> tuple:

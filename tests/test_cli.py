@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cathseg import cli, engine
 from cathseg.engine import load_trajectory
@@ -69,10 +70,10 @@ def test_simulate_writes_table_and_curves(tmp_path):
 config_errors = pytest.mark.parametrize("doc", [
     {"bogus": 1}, {"n_c": "8"}, {"n_rays": 0}, {"r_cone": "inf"},
     {"r_cone": math.nan}, {"k_a": "inf"}, {"ring_radius": math.nan},
-    {"total_length": "inf"}, {"k_a": 1e-20}, {"k_a": 1e308}],
+    {"total_length": "inf"}, {"k_a": 1e-20}, {"k_a": 1e308}, {"k_a": 10**400}],
     ids=["unknown_key", "string_bool", "n_rays_0", "r_cone_inf", "r_cone_nan",
          "k_a_inf", "ring_radius_nan", "total_length_inf", "k_a_unloadable",
-         "k_a_too_stiff"])
+         "k_a_too_stiff", "k_a_400_digits"])
 
 
 @config_errors
@@ -100,6 +101,17 @@ def test_phantom_config_error_exit_code(tmp_path, capsys, doc):
     assert rc == cli.EXIT_FORMAT
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not (out / "volume.nrrd").exists()
+
+
+@config_errors
+def test_segment_config_error_exit_code(tmp_path, capsys, phantom_dir, doc):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "seg"
+    rc = _run_segment(phantom_dir, out, ["--config", str(cfg)])
+    assert rc == cli.EXIT_FORMAT
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not list(out.glob("trajectory_*.json"))
 
 
 def test_phantom_outputs_and_determinism(tmp_path, phantom_dir):
@@ -220,6 +232,12 @@ def test_phantom_bad_spec_exit_code(tmp_path):
     '{"dims": [40, 40, 40], "bloom": {"enabled": true, "rim_gain": 1e39}, '
     '"catheters": [{"f0": 20, "insertion_depth": 20, "deflection_azimuth": 0, '
     '"entry_point": [0, 0]}]}',
+    # JSON text: a seed or a rim switch of the wrong type, with no noise to draw
+    '{"dims": [40, 40, 40], "rng_seed": -3}',
+    '{"dims": [40, 40, 40], "rng_seed": "x"}',
+    '{"dims": [40, 40, 40], "rng_seed": 1.5}',
+    '{"dims": [40, 40, 40], "rng_seed": true}',
+    '{"dims": [40, 40, 40], "bloom": {"enabled": "no"}}',
 ], ids=["insertion_beyond_length", "unknown_distractor_kind", "empty_dims",
         "zero_spacing", "zero_insertion_depth", "negative_insertion_depth",
         "depth_never_reached", "over_deflected", "distractor_end_infinite",
@@ -231,7 +249,9 @@ def test_phantom_bad_spec_exit_code(tmp_path):
         "rim_radius_zero", "rim_radius_infinite", "rim_gain_nan", "rim_gain_negative",
         "spec_not_object", "dims_fractional", "dims_two", "dims_bool", "spacing_two",
         "spacing_nan",
-        "background_intensity_overflow", "noise_sigma_overflow", "rim_gain_overflow"])
+        "background_intensity_overflow", "noise_sigma_overflow", "rim_gain_overflow",
+        "rng_seed_negative", "rng_seed_string", "rng_seed_fractional", "rng_seed_bool",
+        "bloom_enabled_string"])
 def test_phantom_invalid_spec_exit_code(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     if isinstance(spec, str):
@@ -350,8 +370,9 @@ def test_segment_missing_volume_exit_code(tmp_path, phantom_dir):
     lambda doc: doc["plane"].update(normal=[math.nan, 0.0, 1.0]),
     lambda doc: doc["plane"].update(point=[math.nan, 0.0, 4.0]),
     lambda doc: doc.update(tips=[[doc["tips"][0]]]),
+    lambda doc: doc["tips"][0].__setitem__(0, 10**400),
 ], ids=["tips_not_a_list", "plane_not_an_object", "plane_normal_nan",
-        "plane_point_nan", "tip_shape_1x3"])
+        "plane_point_nan", "tip_shape_1x3", "tip_400_digits"])
 def test_segment_malformed_seeds_exit_code(tmp_path, capsys, phantom_dir, edit):
     doc = json.loads((phantom_dir / "seeds.json").read_text())
     edit(doc)
@@ -510,10 +531,21 @@ def test_evaluate_pairing_error(tmp_path, phantom_dir):
     lambda text: json.dumps({**json.loads(text),
                              "bezier": [[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]}),
     lambda text: json.dumps({**json.loads(text), "bezier": [[0.0, 1.0, 2.0, 3.0]] * 3}),
+    lambda text: "[" * 100_000 + "]" * 100_000,
+    lambda text: json.dumps({**json.loads(text), "points": [[0, 0, 0], [10**400, 1, 1]]}),
+    lambda text: json.dumps({**json.loads(text), "estimates": {"f0_est": 10**400}}),
+    lambda text: json.dumps({**json.loads(text),
+                             "bezier": [[0.0, 0.0, float(i)] for i in range(1100)]}),
+    lambda text: json.dumps({**json.loads(text), "warnings": "abc"}),
+    lambda text: json.dumps({**json.loads(text), "provenance": {"image": 1}}),
+    lambda text: json.dumps({**json.loads(text), "estimates": [["f0_est", 1.0]]}),
+    lambda text: json.dumps({"bezier": None}),
 ], ids=["truncated_json", "one_point", "not_an_object", "estimate_not_a_number",
         "estimate_nan", "provenance_number", "provenance_unknown_tag",
         "warning_number", "points_arc_overflows", "point_nan", "point_inf",
-        "points_2d", "bezier_one_row", "bezier_nan", "bezier_4d"])
+        "points_2d", "bezier_one_row", "bezier_nan", "bezier_4d", "nested_100k",
+        "point_400_digits", "estimate_400_digits", "bezier_1100_rows",
+        "warnings_string", "provenance_object", "estimates_array", "no_points"])
 def test_evaluate_invalid_trajectory_exit_code(tmp_path, capsys, phantom_dir, corrupt):
     pred = tmp_path / "pred"
     pred.mkdir()
@@ -526,8 +558,85 @@ def test_evaluate_invalid_trajectory_exit_code(tmp_path, capsys, phantom_dir, co
     rc = cli.main(["evaluate", "--gold", str(phantom_dir), "--pred", str(pred),
                    "--out-dir", str(out)])
     assert rc == cli.EXIT_FORMAT
-    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "for id 00" in err[0]
     assert not (out / "scores.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"points": 3}'],
+                         ids=["nested_100k", "points_number"])
+def test_evaluate_invalid_gold_exit_code(tmp_path, capsys, phantom_dir, text):
+    gold, pred = tmp_path / "gold", tmp_path / "pred"
+    gold.mkdir()
+    pred.mkdir()
+    for gf in phantom_dir.glob("gold_*.json"):
+        (gold / gf.name).write_text(gf.read_text())
+        (pred / gf.name.replace("gold", "trajectory")).write_text(gf.read_text())
+    (gold / "gold_01.json").write_text(text)
+    rc = cli.main(["evaluate", "--gold", str(gold), "--pred", str(pred),
+                   "--out-dir", str(tmp_path / "eval")])
+    assert rc == cli.EXIT_FORMAT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "for id 01" in err[0]
+
+
+# numbers stay within +-1e3 mm, or are one of a few extremes: evaluate
+# resamples at 0.5 mm, so points 1e9 mm apart would ask for gigabytes
+_coordinate = st.one_of(st.integers(-1000, 1000), st.floats(-1e3, 1e3))
+_json_number = st.one_of(_coordinate, st.sampled_from([math.nan, math.inf, -math.inf,
+                                                       1e308, -1e308, 10**400]))
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), _json_number, st.text(max_size=6),
+              st.sampled_from(["image", "model", "compromise"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24)
+_rows = st.one_of(st.lists(st.lists(_coordinate, min_size=3, max_size=3), max_size=12),
+                 st.lists(st.lists(_json_number, max_size=4), max_size=4))
+_trajectory_key = st.sampled_from(["points", "bezier", "provenance", "estimates",
+                                   "warnings"])
+
+
+@given(doc=st.one_of(
+    _json.map(json.dumps),
+    st.dictionaries(_trajectory_key, _json, min_size=1, max_size=3),
+    st.fixed_dictionaries({"points": _rows}, optional={"bezier": st.none() | _rows}),
+    st.integers(1, 3000).map(lambda n: "[" * n + "]" * n)))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_evaluate_any_json_trajectory_exits_0_or_3(tmp_path, capsys, phantom_dir, doc):
+    """Any JSON text as trajectory_00.json, or a gold copy with some keys
+    replaced by any JSON value, scores (0) or is an input error (3) with
+    one stderr line."""
+    pred = tmp_path / "pred"
+    pred.mkdir(exist_ok=True)
+    gold_text = (phantom_dir / "gold_01.json").read_text()
+    (pred / "trajectory_01.json").write_text(gold_text)
+    if isinstance(doc, dict):
+        doc = json.dumps({**json.loads((phantom_dir / "gold_00.json").read_text()),
+                          **doc})
+    (pred / "trajectory_00.json").write_text(doc)
+    rc = cli.main(["evaluate", "--gold", str(phantom_dir), "--pred", str(pred),
+                   "--out-dir", str(tmp_path / "eval")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_FORMAT)
+    assert len(capsys.readouterr().err.strip().splitlines()) == (rc == cli.EXIT_FORMAT)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda ph: ["simulate"],
+    lambda ph: ["phantom", "--spec", str(ph.parent / "spec.json")],
+    lambda ph: ["segment", "--volume", str(ph / "volume.nrrd"),
+                "--seeds", str(ph / "seeds.json")],
+    lambda ph: ["evaluate", "--gold", str(ph), "--pred", str(ph)],
+], ids=["simulate", "phantom", "segment", "evaluate"])
+def test_out_dir_is_a_file_exit_code(tmp_path, capsys, phantom_dir, argv):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    rc = cli.main(argv(phantom_dir) + ["--out-dir", str(out)])
+    assert rc == cli.EXIT_FORMAT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"cathseg {argv(phantom_dir)[0]}: ")
+    assert str(out) in err[0]
 
 
 @pytest.mark.parametrize("argv", [
