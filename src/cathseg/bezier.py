@@ -7,9 +7,12 @@ chord-length parameters.
 
 from __future__ import annotations
 
-from math import comb
+from math import ceil, comb
 
 import numpy as np
+
+# most samples one resampling may take; a 187 mm catheter at 0.25 mm takes 749
+MAX_SAMPLES = 10**6
 
 
 def chord_length_params(points: np.ndarray) -> np.ndarray:
@@ -67,8 +70,7 @@ def sample_curve(control: np.ndarray, step: float) -> np.ndarray:
     total = arc[-1]
     if total == 0:
         return pts[:1]
-    n_out = max(2, int(np.ceil(total / step)) + 1)
-    targets = np.linspace(0.0, total, n_out)
+    targets = np.linspace(0.0, total, _sample_count(total, step, 2))
     t_out = np.interp(targets, arc, t_dense)
     return bezier_eval(control, t_out)
 
@@ -78,10 +80,19 @@ def resample_polyline(poly, step: float, min_points: int = 2) -> np.ndarray:
     least ``min_points`` samples; the endpoints are kept exactly."""
     poly = np.asarray(poly, dtype=float)
     arc = _arc_lengths(poly)
-    n = max(min_points, int(np.ceil(arc[-1] / step)) + 1)
-    t = np.linspace(0.0, arc[-1], n)
+    t = np.linspace(0.0, arc[-1], _sample_count(arc[-1], step, min_points))
     return np.stack([np.interp(t, arc, poly[:, c]) for c in range(poly.shape[1])],
                     axis=1)
+
+
+def _sample_count(length: float, step: float, least: int) -> int:
+    """Samples at spacing <= ``step`` along ``length``, at least ``least``;
+    ValueError past ``MAX_SAMPLES``."""
+    spans = length / step
+    if spans > MAX_SAMPLES - 1 or least > MAX_SAMPLES:
+        raise ValueError(f"resampling {length:.6g} mm at {step:g} mm takes more "
+                         f"than {MAX_SAMPLES} samples")
+    return max(least, ceil(spans) + 1)
 
 
 def _arc_lengths(pts: np.ndarray) -> np.ndarray:

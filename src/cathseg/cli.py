@@ -31,7 +31,7 @@ from .evaluation import ExperimentReport, score_catheter, write_scores_csv, \
 from .phantom import generate_phantom, load_phantom_spec
 from .spring import build_model_table, export_table_csv, find_max_force, \
     simulate_forward
-from .volume import load_seeds, load_volume, save_seeds, save_volume
+from .volume import load_seeds, load_volume, read_numbers, save_seeds, save_volume
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,9 +61,9 @@ def config_to_dict(config) -> dict:
 def config_from_dict(doc: dict) -> SegmentationConfig:
     """Inverse of ``config_to_dict``; missing fields keep their defaults.
 
-    Values must have their field's JSON type: int fields take integers (8.0
-    included, 8.7 not) and float fields take numbers or "inf"; booleans and
-    null are neither.  Any other value raises ValueError.
+    Values are read by ``read_numbers``: int fields take integers (8.0
+    included, 8.7 not) and float fields finite numbers, and d_tol also
+    "inf".  Any other value raises ValueError.
     """
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
@@ -88,13 +88,9 @@ def _override(config, doc: dict):
 
 def _coerce(name: str, kind, new):
     """``new`` as a value of the annotated field type ``kind``."""
-    if not isinstance(new, bool):             # JSON true/false is no number
-        if kind is int and (isinstance(new, int)
-                            or isinstance(new, float) and new.is_integer()):
-            return int(new)
-        if kind is float and (isinstance(new, (int, float)) or new == "inf"):
-            return float(new)
-    raise ValueError(f"config field {name} must be {kind.__name__}, got {new!r}")
+    if name == "d_tol" and new == "inf":
+        return math.inf
+    return read_numbers(new, f"config field {name}", kind=kind)
 
 
 def _write_manifest(out_dir: Path, command: str, argv, config: dict | None,
@@ -117,7 +113,7 @@ def _load_config_arg(args) -> SegmentationConfig:
     if args.config:
         doc = json.loads(Path(args.config).read_text())
     if getattr(args, "dtol", None) is not None:
-        doc["d_tol"] = float(args.dtol)
+        doc["d_tol"] = args.dtol if args.dtol == "inf" else float(args.dtol)
     config = config_from_dict(doc)
     try:
         find_max_force(config.model)

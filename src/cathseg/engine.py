@@ -26,7 +26,7 @@ from .bezier import fit_bezier, resample_polyline
 from .features import FeatureMask, cone_search, orthonormal_basis
 from .spring import ModelTable, SpringModelParams, build_model_table, \
     cut_at_depth, solve_at_depth
-from .volume import BasePlane, Volume3D, distance_to_plane
+from .volume import BasePlane, Volume3D, distance_to_plane, read_numbers
 
 _PARALLEL_EPS = 1e-6
 # fraction of the local contrast by which the init cone must beat a flat score
@@ -111,9 +111,8 @@ def load_trajectory(path) -> Trajectory:
             and isinstance(warnings, list)):
         raise ValueError("trajectory estimates must be a JSON object, and its "
                          "provenance and warnings JSON arrays")
-    estimates = {k: float(v) for k, v in estimates.items()}
-    if not all(math.isfinite(v) for v in estimates.values()):
-        raise ValueError("trajectory estimates must be finite numbers")
+    estimates = {k: read_numbers(v, f"trajectory estimate {k!r}")
+                 for k, v in estimates.items()}
     if not all(tag in (TAG_IMAGE, TAG_MODEL, TAG_COMPROMISE) for tag in provenance):
         raise ValueError("trajectory provenance tags must be image, model or compromise")
     if not all(isinstance(w, str) for w in warnings):
@@ -124,9 +123,9 @@ def load_trajectory(path) -> Trajectory:
 
 
 def _curve_points(value, name: str) -> np.ndarray:
-    pts = np.asarray(value, dtype=float)
-    if pts.ndim != 2 or len(pts) < 2 or pts.shape[1] != 3 or not np.isfinite(pts).all():
-        raise ValueError(f"trajectory {name} must be two or more rows of 3 finite numbers")
+    pts = np.array(read_numbers(value, f"trajectory {name}", (None, 3)))
+    if len(pts) < 2:
+        raise ValueError(f"trajectory {name} must have two or more rows")
     return pts
 
 

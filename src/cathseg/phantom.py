@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings as _warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -25,7 +24,7 @@ from scipy.spatial import cKDTree
 from .bezier import resample_polyline
 from .engine import Trajectory
 from .spring import SpringModelParams, cut_at_depth, solve_at_depth
-from .volume import BasePlane, SeedSet, Volume3D
+from .volume import BasePlane, SeedSet, Volume3D, read_numbers
 
 _CENTERLINE_STEP = 0.25  # mm, dense resampling used for distance queries
 
@@ -55,17 +54,12 @@ class CatheterSpec:
                                                   # where the void fades out
 
     def __post_init__(self):
-        self.entry_point = tuple(float(x) for x in self.entry_point)
-        if len(self.entry_point) != 2 or not np.all(np.isfinite(self.entry_point)):
-            raise ValueError(f"entry_point must be two finite numbers, "
-                             f"got {self.entry_point}")
-        if not math.isfinite(self.core_intensity):
-            raise ValueError(f"core_intensity must be finite, got {self.core_intensity}")
-        self.dropouts = [tuple(float(x) for x in w) for w in self.dropouts]
-        for w in self.dropouts:
-            if len(w) != 2 or not np.all(np.isfinite(w)) or w[1] < 0:
-                raise ValueError(f"a dropout must be two finite numbers (arc_start, "
-                                 f"arc_len) with arc_len >= 0, got {w}")
+        _read_fields(self, ("f0", "insertion_depth", "deflection_azimuth", "core_intensity"))
+        _read_fields(self, ("entry_point",), (2,))
+        _read_fields(self, ("dropouts",), (None, 2))
+        if any(length < 0 for _, length in self.dropouts):
+            raise ValueError(f"a dropout's arc_len must be non-negative, "
+                             f"got {self.dropouts}")
 
 
 @dataclass
@@ -77,9 +71,10 @@ class BloomSpec:
     def __post_init__(self):
         if not isinstance(self.enabled, bool):      # a string would be truthy
             raise ValueError(f"bloom enabled must be true or false, got {self.enabled!r}")
-        if not (0 < self.rim_radius < math.inf and 0 <= self.rim_gain < math.inf):
-            raise ValueError(f"bloom needs a positive finite rim_radius and a finite "
-                             f"non-negative rim_gain, got {self.rim_radius}, {self.rim_gain}")
+        _read_fields(self, ("rim_radius", "rim_gain"))
+        if not (self.rim_radius > 0 and self.rim_gain >= 0):
+            raise ValueError(f"bloom needs a positive rim_radius and a non-negative "
+                             f"rim_gain, got {self.rim_radius}, {self.rim_gain}")
 
 
 @dataclass
@@ -90,13 +85,10 @@ class DistractorSpec:
     radius: float = 0.8
 
     def __post_init__(self):
-        self.p0 = tuple(float(x) for x in self.p0)
-        self.p1 = tuple(float(x) for x in self.p1)
-        if not np.all(np.isfinite(self.p0 + self.p1)):
-            raise ValueError("distractor endpoints must be finite")
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"distractor radius must be positive and finite, "
-                             f"got {self.radius}")
+        _read_fields(self, ("p0", "p1"), (3,))
+        _read_fields(self, ("radius",))
+        if not self.radius > 0:
+            raise ValueError(f"distractor radius must be positive, got {self.radius}")
 
 
 @dataclass
@@ -113,35 +105,26 @@ class PhantomSpec:
     plane_offset: float = 4.0    # mm, base plane distance from the volume origin face
 
     def __post_init__(self):
-        # positivity is Volume3D's check
-        self.dims = _three("dims", self.dims, int)
-        self.spacing = _three("spacing", self.spacing, float)
-        if not 0 < self.tube_radius < math.inf:
-            raise ValueError(f"tube_radius must be positive and finite, "
-                             f"got {self.tube_radius}")
-        if not 0 < self.background_intensity < math.inf:   # a void is a fraction of it
-            raise ValueError(f"background_intensity must be positive and finite, "
-                             f"got {self.background_intensity}")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be finite and non-negative, "
-                             f"got {self.noise_sigma}")
+        # positivity of dims and spacing is Volume3D's check
+        _read_fields(self, ("dims",), (3,), int)
+        _read_fields(self, ("spacing",), (3,))
+        _read_fields(self, ("background_intensity", "tube_radius", "noise_sigma",
+                            "plane_offset"))
         # checked with or without noise, since the manifest records it
-        if not (isinstance(self.rng_seed, numbers.Integral)
-                and not isinstance(self.rng_seed, bool) and self.rng_seed >= 0):
-            raise ValueError(f"rng_seed must be a non-negative integer, "
-                             f"got {self.rng_seed!r}")
+        _read_fields(self, ("rng_seed",), kind=int)
+        # a void is a fraction of the background
+        if not (self.tube_radius > 0 and self.background_intensity > 0):
+            raise ValueError(f"tube_radius and background_intensity must be positive, "
+                             f"got {self.tube_radius}, {self.background_intensity}")
+        if not (self.noise_sigma >= 0 and self.rng_seed >= 0):
+            raise ValueError(f"noise_sigma and rng_seed must be non-negative, "
+                             f"got {self.noise_sigma}, {self.rng_seed}")
 
 
-def _three(name: str, values, kind) -> tuple:
-    """Three finite numbers as a tuple of ``kind``; for int each must be
-    integral (32.0 is).  ValueError for anything else."""
-    items = tuple(values) if isinstance(values, (list, tuple)) else ()
-    if len(items) != 3 or not all(
-            isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-            and (kind is float or float(x).is_integer()) for x in items):
-        noun = "integers" if kind is int else "finite numbers"
-        raise ValueError(f"{name} must be three {noun}, got {values!r}")
-    return tuple(kind(x) for x in items)
+def _read_fields(spec, names, shape: tuple = (), kind=float):
+    """Replace each named field of ``spec`` by its ``read_numbers`` value."""
+    for name in names:
+        setattr(spec, name, read_numbers(getattr(spec, name), name, shape, kind))
 
 
 def save_phantom_spec(spec: PhantomSpec, path):
@@ -181,7 +164,7 @@ def _near_voxels(vol: Volume3D, points, reach):
     (clamped into the volume): every voxel center closer than ``reach`` to a
     point is among them.  A reach past the volume's extent spans it all."""
     shape = np.asarray(vol.dims)
-    held = np.clip(np.floor(vol.world_to_voxel(points)).astype(int), 0, shape - 1)
+    held = np.clip(np.floor(vol.world_to_voxel(points)), 0, shape - 1).astype(int)
     pad = np.ceil(np.minimum(reach, shape * vol.spacing) / vol.spacing).astype(int) + 1
     lo = np.maximum(held.min(axis=0) - pad, 0)
     hi = np.minimum(held.max(axis=0) + pad + 1, shape)
@@ -235,7 +218,11 @@ def generate_phantom(spec: PhantomSpec,
     """Build (volume, gold centerlines, seeds) from a phantom spec; a voxel
     past float32's range raises FloatingPointError."""
     dims = spec.dims
-    spacing = np.asarray(spec.spacing, dtype=float)
+    try:
+        data = np.full(dims, spec.background_intensity, dtype=np.float32)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"spec dims {dims} cannot be allocated: {exc}") from None
+    spacing = np.array(spec.spacing)
     origin = np.zeros(3)
     extent = (np.asarray(dims) - 1) * spacing
 
@@ -245,8 +232,7 @@ def generate_phantom(spec: PhantomSpec,
 
     # checks dims and spacing; stamped and noised in place before it is returned
     vol = Volume3D(dims=dims, spacing=spacing, origin=origin,
-                   axis_directions=np.eye(3),
-                   data=np.full(dims, spec.background_intensity, dtype=np.float32))
+                   axis_directions=np.eye(3), data=data)
     edge = float(np.max(spacing))
 
     polylines = [_centerline_world(cath, model, plane, in_plane)

@@ -1,4 +1,5 @@
-"""3D scalar volumes with world geometry, plus the base-plane / seed inputs.
+"""3D scalar volumes with world geometry, plus the base-plane / seed inputs
+and ``read_numbers``, the one reader of numbers in every JSON input file.
 
 Volumes are stored on a regular grid with anisotropic spacing and an
 orthonormal axis-direction matrix.  All world coordinates and lengths are
@@ -9,7 +10,10 @@ millimeters, all angles radians.  File format is a strict subset of NRRD:
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import re
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -29,6 +33,33 @@ _NRRD_DTYPES = {
     "unsigned short": "<u2",
     "uint16": "<u2",
 }
+
+
+def read_numbers(value, name: str, shape: tuple = (), kind=float):
+    """``value``, as read from JSON, as Python ``kind`` numbers of ``shape``
+    nested in tuples: () for one, (n,) for n, (None, n) for rows of n.  A
+    number is a finite int or float, never a bool, string or null, and an
+    integral one for int (32.0, not 32.5); else ValueError naming ``name``."""
+    def read(x, dims):
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
+        if dims:
+            if isinstance(x, (list, tuple)) and dims[0] in (None, len(x)):
+                return tuple(read(v, dims[1:]) for v in x)
+        elif isinstance(x, numbers.Real) and not isinstance(x, bool):
+            try:
+                if kind is int and (isinstance(x, numbers.Integral)
+                                    or float(x).is_integer()):
+                    return int(x)
+                if kind is float and math.isfinite(x):
+                    return float(x)
+            except OverflowError:        # an integer past float range
+                pass
+        noun = "integer" if kind is int else "finite number"
+        what = f"{'rows of ' * (len(shape) > 1)}{shape[-1]} {noun}s" if shape else f"one {noun}"
+        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
+
+    return read(value, shape)
 
 
 class VolumeFormatError(ValueError):
@@ -112,10 +143,8 @@ class BasePlane:
     normal: np.ndarray
 
     def __post_init__(self):
-        self.point = np.asarray(self.point, dtype=float)
-        self.normal = np.asarray(self.normal, dtype=float)
-        if not (np.all(np.isfinite(self.point)) and np.all(np.isfinite(self.normal))):
-            raise ValueError("plane point and normal must be finite")
+        self.point = np.array(read_numbers(self.point, "plane point", (3,)))
+        self.normal = np.array(read_numbers(self.normal, "plane normal", (3,)))
         n = np.linalg.norm(self.normal)
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"plane normal must be unit length, |n| = {n}")
@@ -129,10 +158,7 @@ class SeedSet:
     plane: BasePlane
 
     def __post_init__(self):
-        self.tips = [np.asarray(t, dtype=float) for t in self.tips]
-        for i, t in enumerate(self.tips):
-            if t.shape != (3,):
-                raise ValueError(f"tip {i} must be three coordinates, got shape {t.shape}")
+        self.tips = [np.array(t) for t in read_numbers(self.tips, "tips", (None, 3))]
 
     def validate(self, vol: Volume3D):
         for i, t in enumerate(self.tips):
@@ -291,13 +317,9 @@ def load_volume(path) -> Volume3D:
 # ---------------------------------------------------------------------------
 
 def save_seeds(seeds: SeedSet, path):
-    doc = {
-        "plane": {
-            "point": [float(x) for x in seeds.plane.point],
-            "normal": [float(x) for x in seeds.plane.normal],
-        },
-        "tips": [[float(x) for x in t] for t in seeds.tips],
-    }
+    doc = {"plane": {"point": seeds.plane.point.tolist(),
+                     "normal": seeds.plane.normal.tolist()},
+           "tips": [t.tolist() for t in seeds.tips]}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 

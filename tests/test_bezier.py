@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cathseg.bezier import bernstein_matrix, bezier_eval, chord_length_params, \
-    fit_bezier, resample_polyline, sample_curve
+from cathseg.bezier import MAX_SAMPLES, bernstein_matrix, bezier_eval, \
+    chord_length_params, fit_bezier, resample_polyline, sample_curve
 
 
 def test_straight_line_reproduced_exactly():
@@ -115,3 +115,15 @@ def test_resample_polyline_spacing_endpoints_and_min_points():
     assert gaps.max() == pytest.approx(7.2 / 15)   # chords shrink only at the corner
     assert len(resample_polyline(poly, 100.0)) == 2
     assert len(resample_polyline(poly, 100.0, len(poly))) == 3
+
+
+def test_resampling_refuses_more_than_max_samples():
+    """Both resamplers share one cap on the samples an input can ask for."""
+    assert len(resample_polyline([[0.0, 0, 0], [MAX_SAMPLES - 1.0, 0, 0]], 1.0)) \
+        == MAX_SAMPLES
+    with pytest.raises(ValueError, match="samples"):
+        resample_polyline([[0.0, 0, 0], [MAX_SAMPLES - 0.5, 0, 0]], 1.0)
+    with pytest.raises(ValueError, match="samples"):
+        resample_polyline([[0.0, 0, 0], [1.0, 0, 0]], 1.0, MAX_SAMPLES + 1)
+    with pytest.raises(ValueError, match="samples"):
+        sample_curve(np.array([[0.0, 0, 0], [1e12, 0, 0]]), 0.5)

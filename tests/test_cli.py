@@ -1,8 +1,10 @@
+import copy
 import csv
 import json
 import math
 import runpy
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +196,9 @@ def test_phantom_bad_spec_exit_code(tmp_path):
     '"p0": [20, NaN, 20]}]}',
     '{"dims": [40, 40, 40], "distractors": [{"kind": "blob", '
     '"p0": [20, 20, 20], "radius": 0}]}',
+    # JSON text: a tube whose resampling would ask for terabytes
+    '{"dims": [40, 40, 40], "distractors": [{"kind": "tube", '
+    '"p0": [0, 0, 5], "p1": [1e12, 0, 5]}]}',
     # JSON text: PhantomSpec refuses to build these
     '{"dims": [40, 40, 40], "tube_radius": -1}',
     '{"dims": [40, 40, 40], "background_intensity": NaN}',
@@ -241,7 +246,8 @@ def test_phantom_bad_spec_exit_code(tmp_path):
 ], ids=["insertion_beyond_length", "unknown_distractor_kind", "empty_dims",
         "zero_spacing", "zero_insertion_depth", "negative_insertion_depth",
         "depth_never_reached", "over_deflected", "distractor_end_infinite",
-        "distractor_center_nan", "distractor_radius_zero", "tube_radius_negative",
+        "distractor_center_nan", "distractor_radius_zero", "distractor_tube_1e12_long",
+        "tube_radius_negative",
         "background_intensity_nan", "noise_sigma_nan", "background_intensity_zero",
         "background_intensity_negative", "entry_point_one_number", "entry_point_nan",
         "core_intensity_nan", "core_intensity_infinite", "dropout_start_nan",
@@ -540,12 +546,14 @@ def test_evaluate_pairing_error(tmp_path, phantom_dir):
     lambda text: json.dumps({**json.loads(text), "provenance": {"image": 1}}),
     lambda text: json.dumps({**json.loads(text), "estimates": [["f0_est", 1.0]]}),
     lambda text: json.dumps({"bezier": None}),
+    lambda text: json.dumps({**json.loads(text), "points": [[0, 0, 0], [1e12, 0, 0]]}),
 ], ids=["truncated_json", "one_point", "not_an_object", "estimate_not_a_number",
         "estimate_nan", "provenance_number", "provenance_unknown_tag",
         "warning_number", "points_arc_overflows", "point_nan", "point_inf",
         "points_2d", "bezier_one_row", "bezier_nan", "bezier_4d", "nested_100k",
         "point_400_digits", "estimate_400_digits", "bezier_1100_rows",
-        "warnings_string", "provenance_object", "estimates_array", "no_points"])
+        "warnings_string", "provenance_object", "estimates_array", "no_points",
+        "points_1e12_apart"])
 def test_evaluate_invalid_trajectory_exit_code(tmp_path, capsys, phantom_dir, corrupt):
     pred = tmp_path / "pred"
     pred.mkdir()
@@ -580,11 +588,11 @@ def test_evaluate_invalid_gold_exit_code(tmp_path, capsys, phantom_dir, text):
     assert len(err) == 1 and "for id 01" in err[0]
 
 
-# numbers stay within +-1e3 mm, or are one of a few extremes: evaluate
-# resamples at 0.5 mm, so points 1e9 mm apart would ask for gigabytes
+# numbers stay within +-1e3 mm, or are one of a few extremes; 1e12 mm is past
+# the resampling cap, so evaluate refuses it rather than ask for terabytes
 _coordinate = st.one_of(st.integers(-1000, 1000), st.floats(-1e3, 1e3))
 _json_number = st.one_of(_coordinate, st.sampled_from([math.nan, math.inf, -math.inf,
-                                                       1e308, -1e308, 10**400]))
+                                                       1e308, -1e308, 10**400, 1e12]))
 _json = st.recursive(
     st.one_of(st.none(), st.booleans(), _json_number, st.text(max_size=6),
               st.sampled_from(["image", "model", "compromise"])),
@@ -620,6 +628,153 @@ def test_evaluate_any_json_trajectory_exits_0_or_3(tmp_path, capsys, phantom_dir
                    "--out-dir", str(tmp_path / "eval")])
     assert rc in (cli.EXIT_OK, cli.EXIT_FORMAT)
     assert len(capsys.readouterr().err.strip().splitlines()) == (rc == cli.EXIT_FORMAT)
+
+
+# a phantom spec that generates in well under a second, with every kind of
+# numeric field: top level, catheter, dropout, bloom and distractor
+_SPEC_16 = {"dims": [16, 16, 16], "spacing": [1.0, 1.0, 1.0], "noise_sigma": 2.0,
+            "rng_seed": 3, "plane_offset": 2.0,
+            "catheters": [{"f0": 20.0, "insertion_depth": 10.0, "deflection_azimuth": 0.5,
+                           "entry_point": [0.0, 0.0], "core_intensity": 10.0,
+                           "dropouts": [[2.0, 3.0]]}],
+            "bloom": {"enabled": True, "rim_radius": 1.0, "rim_gain": 60.0},
+            "distractors": [{"kind": "tube", "p0": [2, 2, 2], "p1": [12, 12, 12],
+                             "radius": 0.8}]}
+# the path of every numeric field but dims, which the property draws small: a
+# replaced dims could ask for gigabytes
+_SPEC_NUMBERS = [(key,) for key in ("spacing", "background_intensity", "tube_radius",
+                                    "noise_sigma", "rng_seed", "plane_offset")] \
+    + [("catheters", 0, key) for key in ("f0", "insertion_depth", "deflection_azimuth",
+                                         "entry_point", "core_intensity", "dropouts")] \
+    + [("bloom", key) for key in ("rim_radius", "rim_gain")] \
+    + [("distractors", 0, key) for key in ("p0", "p1", "radius")]
+
+
+def _set_path(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@given(dims=st.lists(st.integers(1, 16), min_size=3, max_size=3),
+       path=st.sampled_from(_SPEC_NUMBERS),
+       value=st.one_of(_json, st.lists(_json_number, max_size=4), _rows))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_phantom_any_json_number_field_exits_0_or_3(tmp_path, capsys, dims, path, value):
+    """A valid spec of at most 16**3 voxels with one numeric field replaced by
+    any JSON value generates (0) or is an input error (3) with one stderr line."""
+    doc = copy.deepcopy(_SPEC_16)
+    doc["dims"] = dims
+    _set_path(doc, path, value)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    rc = cli.main(["phantom", "--spec", str(spec), "--out-dir", str(tmp_path / "ph")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_FORMAT)
+    assert len(capsys.readouterr().err.strip().splitlines()) == (rc == cli.EXIT_FORMAT)
+
+
+_SPEC_40 = {"dims": [40, 40, 40], "bloom": {"enabled": True},
+            "catheters": [{"f0": 20, "insertion_depth": 20, "deflection_azimuth": 0,
+                           "entry_point": [0, 0]}],
+            "distractors": [{"kind": "blob", "p0": [10, 10, 20]}]}
+
+
+def _phantom_argv(edit, tmp_path, phantom_dir):
+    """A phantom run of the 40**3 spec after ``edit``."""
+    doc = copy.deepcopy(_SPEC_40)
+    edit(doc)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    return ["phantom", "--spec", str(spec)]
+
+
+def _segment_argv(edit, tmp_path, phantom_dir):
+    """A segment run of the shared phantom with its seeds after ``edit``."""
+    doc = json.loads((phantom_dir / "seeds.json").read_text())
+    edit(doc)
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text(json.dumps(doc))
+    return ["segment", "--volume", str(phantom_dir / "volume.nrrd"),
+            "--seeds", str(seeds)]
+
+
+def _config_argv(text, tmp_path, phantom_dir):
+    """A segment run of the shared phantom under the config file ``text``."""
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    return _segment_argv(lambda doc: None, tmp_path, phantom_dir) \
+        + ["--config", str(config)]
+
+
+def _evaluate_argv(edit, tmp_path, phantom_dir):
+    """An evaluate run of gold copies as trajectories, trajectory_00 after ``edit``."""
+    pred = tmp_path / "pred"
+    pred.mkdir()
+    for gf in phantom_dir.glob("gold_*.json"):
+        doc = json.loads(gf.read_text())
+        if gf.name == "gold_00.json":
+            edit(doc)
+        (pred / gf.name.replace("gold", "trajectory")).write_text(json.dumps(doc))
+    return ["evaluate", "--gold", str(phantom_dir), "--pred", str(pred)]
+
+
+@pytest.mark.parametrize("argv,field", [
+    (partial(_phantom_argv, lambda d: d.update(plane_offset="4")), "plane_offset"),
+    (partial(_phantom_argv, lambda d: d.update(tube_radius=True)), "tube_radius"),
+    (partial(_phantom_argv, lambda d: d.update(noise_sigma=True)), "noise_sigma"),
+    (partial(_phantom_argv, lambda d: d["catheters"][0].update(f0=True)), "f0"),
+    (partial(_phantom_argv, lambda d: d["catheters"][0].update(entry_point=["1", "0"])),
+     "entry_point"),
+    (partial(_phantom_argv, lambda d: d["distractors"][0].update(p0=["10", "10", "20"])),
+     "p0"),
+    (partial(_phantom_argv, lambda d: d["bloom"].update(rim_gain=True)), "rim_gain"),
+    (partial(_segment_argv, lambda d: d.update(
+        tips=[[str(x) for x in tip] for tip in d["tips"]])), "tips"),
+    (partial(_segment_argv, lambda d: d["plane"].update(normal=[False, False, True])),
+     "normal"),
+    (partial(_evaluate_argv, lambda d: d.update(
+        points=[[str(x) for x in p] for p in d["points"]])), "points"),
+    (partial(_evaluate_argv, lambda d: d.update(estimates={"f0_est": "12.5"})), "f0_est"),
+    (partial(_evaluate_argv, lambda d: d.update(estimates={"f0_est": True})), "f0_est"),
+    (partial(_config_argv, '{"d_tol": 1e400}'), "d_tol"),
+], ids=["spec_plane_offset_string", "spec_tube_radius_bool", "spec_noise_sigma_bool",
+        "catheter_f0_bool", "catheter_entry_point_strings", "distractor_p0_strings",
+        "bloom_rim_gain_bool", "seed_tips_strings", "seed_normal_bools",
+        "trajectory_points_strings", "trajectory_f0_est_string", "trajectory_f0_est_bool",
+        "config_d_tol_1e400"])
+def test_non_number_field_exits_3_naming_it(tmp_path, capsys, phantom_dir, argv, field):
+    """One number rule for every input file: a string, a bool or a number past
+    float range is no number, and the one stderr line names the field."""
+    rc = cli.main(argv(tmp_path, phantom_dir) + ["--out-dir", str(tmp_path / "o")])
+    assert rc == cli.EXIT_FORMAT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and field in err[0]
+
+
+# 2**62 bytes lie past any 57-bit address space, so the allocation fails
+# whatever the host's overcommit; 2**21 per axis is past numpy's size limit
+@pytest.mark.parametrize("dims", [[2**20] * 3, [2**21] * 3, [10**400, 1, 1]],
+                         ids=["4_EiB", "past_numpy_limit", "400_digits"])
+def test_phantom_unallocatable_dims_exit_3(tmp_path, capsys, dims):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dims": dims}))
+    rc = cli.main(["phantom", "--spec", str(spec), "--out-dir", str(tmp_path / "o")])
+    assert rc == cli.EXIT_FORMAT
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "dims" in err[0]
+
+
+def test_phantom_integral_float_seed_and_64_bit_seed(tmp_path):
+    """rng_seed takes 3.0 as 3, and the manifest keeps a 62-bit seed exactly."""
+    for seed, recorded in [(3.0, 3), (2**62 - 1, 2**62 - 1)]:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"dims": [8, 8, 8], "noise_sigma": 1.0,
+                                    "rng_seed": seed}))
+        out = tmp_path / f"seed_{recorded}"
+        assert cli.main(["phantom", "--spec", str(spec), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rng_seeds"]["rng_seed"] == recorded
 
 
 @pytest.mark.parametrize("argv", [
@@ -720,7 +875,7 @@ def test_config_float_fields_take_numbers_inf_and_optional_null():
     assert math.isinf(cfg.d_tol) and cfg.r_cone == 15.0
     assert type(cfg.r_cone) is float
     for key, bad in [("d_tol", None), ("d_tol", "1.5"), ("d_tol", False),
-                     ("ring_radius", True)]:
+                     ("d_tol", math.inf), ("r_cone", "inf"), ("ring_radius", True)]:
         with pytest.raises(ValueError, match=key):
             cli.config_from_dict({key: bad})
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -5,7 +7,8 @@ from scipy import ndimage
 
 from cathseg.volume import (BasePlane, SeedSet, TruncatedVolumeError, Volume3D,
                             VolumeFormatError, distance_to_plane, load_seeds,
-                            load_volume, sample_voxel, save_seeds, save_volume)
+                            load_volume, read_numbers, sample_voxel, save_seeds,
+                            save_volume)
 
 
 def make_volume(data, spacing=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0),
@@ -325,3 +328,23 @@ def test_seeds_json_round_trip(tmp_path):
     assert np.allclose(loaded.plane.normal, seeds.plane.normal)
     assert len(loaded.tips) == 2
     assert np.allclose(loaded.tips[1], (7.0, 8.0, 9.0))
+
+
+def test_read_numbers_tests_each_leaf_and_keeps_python_types():
+    assert read_numbers(3, "x") == 3.0 and type(read_numbers(3, "x")) is float
+    assert read_numbers([32.0, 32, 32], "dims", (3,), int) == (32, 32, 32)
+    assert all(type(n) is int for n in read_numbers([32.0, 32, 32], "dims", (3,), int))
+    assert read_numbers(2**62 - 1, "rng_seed", kind=int) == 2**62 - 1
+    rows = read_numbers(np.array([[1.0, 2.0], [3.0, 4.0]]), "rows", (None, 2))
+    assert rows == ((1.0, 2.0), (3.0, 4.0)) and type(rows[0][0]) is float
+    assert read_numbers([np.arange(3.0)], "tips", (None, 3)) == ((0.0, 1.0, 2.0),)
+    # a bool is no number, though np.asarray([True, 2, 3]) is an int array
+    for bad, shape, kind in [([True, 2, 3], (3,), float), ([True, 2, 3], (3,), int),
+                             (np.array([True, False, True]), (3,), float),
+                             ("12.5", (), float), (None, (), float), (math.inf, (), float),
+                             (math.nan, (), float), (10**400, (), float),
+                             (32.5, (), int), ([1.0, 2.0], (3,), float),
+                             ([[1.0, 2.0, 3.0], [1.0, 2.0]], (None, 3), float),
+                             ({"x": 1}, (), float), ("123", (3,), float)]:
+        with pytest.raises(ValueError, match="^field "):
+            read_numbers(bad, "field", shape, kind)
