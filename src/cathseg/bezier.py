@@ -11,7 +11,8 @@ from math import ceil, comb
 
 import numpy as np
 
-# most samples one resampling may take; a 187 mm catheter at 0.25 mm takes 749
+# most samples one resampling may take (a 187 mm catheter at 0.25 mm takes
+# 749), and most cones, rays or ring samples a config may ask for
 MAX_SAMPLES = 10**6
 
 

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bezier import fit_bezier, resample_polyline
-from .features import FeatureMask, cone_search, orthonormal_basis
+from .bezier import MAX_SAMPLES, fit_bezier, resample_polyline
+from .features import FeatureMask, cone_search, orthonormal_basis, share_cores
 from .spring import ModelTable, SpringModelParams, build_model_table, \
     cut_at_depth, solve_at_depth
 from .volume import BasePlane, Volume3D, distance_to_plane, read_numbers
@@ -51,14 +51,14 @@ class SegmentationConfig:
     model: SpringModelParams = field(default_factory=SpringModelParams)
 
     def __post_init__(self):
-        if self.n_c < 3:
-            raise ValueError("n_c must be at least 3")
+        if not 3 <= self.n_c <= MAX_SAMPLES:
+            raise ValueError(f"n_c must be between 3 and {MAX_SAMPLES}")
         if not self.d_tol >= 0:
             raise ValueError("d_tol must be non-negative")
         if not 0 < self.r_cone < math.inf:
             raise ValueError("r_cone must be positive and finite")
-        if self.n_rays < 1:
-            raise ValueError("n_rays must be at least 1")
+        if not 1 <= self.n_rays <= MAX_SAMPLES:
+            raise ValueError(f"n_rays must be between 1 and {MAX_SAMPLES}")
 
     def ensure_table(self) -> ModelTable:
         """The model table of ``model``, built afresh; segmentation never
@@ -289,12 +289,16 @@ def segment_batch(tasks, config: SegmentationConfig, d_tols, jobs: int = 1) -> l
     (outcomes, seconds) pair per tip: for each d_tol a Trajectory or the
     error text, and the tip's seconds measured inside its worker.  Failures
     never abort the batch, and results keep the input order for any
-    ``jobs``; each task's volume is pickled once when ``jobs > 1``.
+    ``jobs``; each task's volume is pickled once when ``jobs > 1``.  One
+    process already scores rays on every usable core; ``jobs > 1`` worker
+    processes share them, each scoring on ``cores // jobs`` threads (at
+    least one), so that together they start no more threads than cores.
     """
     work = [(task, config, d_tols) for task in tasks]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=share_cores, initargs=(jobs,)) as pool:
             return list(pool.map(_run_task, work, chunksize=1))
     return [_run_task(w) for w in work]
 

@@ -11,13 +11,24 @@ minimizer.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bezier import MAX_SAMPLES
 from .volume import Volume3D, sample_voxel
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+# lookups per chunk of a ray batch: several chunks per thread, so that a
+# core that runs slow for a while holds up less than its share of a batch
+_CHUNK_LOOKUPS = 2**14
+
+_threads = None                 # ray-scoring threads; None: every usable core
+_pool = None                    # made on first use by _scoring_pool
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -30,8 +41,8 @@ class FeatureMask:
     def __post_init__(self):
         if not 0 < self.ring_radius < math.inf:
             raise ValueError("ring_radius must be positive and finite")
-        if self.n_ring_samples < 4:
-            raise ValueError("need at least 4 ring samples")
+        if not 4 <= self.n_ring_samples <= MAX_SAMPLES:
+            raise ValueError(f"n_ring_samples must be between 4 and {MAX_SAMPLES}")
 
 
 def orthonormal_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,6 +73,46 @@ def disc_points(center, normal, radius: float, n: int) -> np.ndarray:
     return center + offsets
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    has one (``taskset`` narrows it), else every core."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def share_cores(n_processes: int):
+    """Score rays on this process's share of the usable cores, for one of
+    ``n_processes`` processes that score side by side; call before the
+    first ray is scored."""
+    global _threads
+    _threads = max(1, _usable_cores() // n_processes)
+
+
+def _scoring_pool() -> ThreadPoolExecutor | None:
+    """The process's ray-scoring threads, made on first use: one per usable
+    core (or per ``share_cores`` share); None for one."""
+    global _pool, _threads
+    with _pool_lock:
+        if _threads is None:
+            _threads = _usable_cores()
+        if _pool is None and _threads > 1:
+            _pool = ThreadPoolExecutor(_threads, thread_name_prefix="cathseg-rays")
+        return _pool
+
+
+def _forget_pool():
+    """In a forked child, which has none of its parent's threads: drop the
+    parent's pool (tasks sent to it would wait forever) and its lock."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):      # no fork, and no hook, on Windows
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
                 mask: FeatureMask):
     """Scores for rays apex -> targets[c], each sampled every half voxel
@@ -70,29 +121,52 @@ def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
 
     Sample positions are composed directly in voxel space: the world-to-voxel
     map is affine, so transforming the apex and the per-ray vectors once is
-    enough.  The rays' samples form one ragged batch, ray by ray.
+    enough.  The rays' samples form one ragged batch, ray by ray.  A batch
+    of more than ``_CHUNK_LOOKUPS`` lookups is cut between rays into chunks
+    that the scoring threads compose, sample and score side by side, and
+    their results are joined in ray order; each ray is scored whole, with
+    the same arithmetic, so the result has the same bits for any number of
+    threads.  A smaller batch, or a process with one thread, is scored on
+    the calling thread in one call.
     """
     rays = targets - apex                       # (C, 3) world
     rays_v = vol.vector_to_voxel(rays)
     n_samp = np.maximum(2, np.ceil(2.0 * np.linalg.norm(rays_v, axis=1)).astype(int) + 1)
-    ray_of = np.repeat(np.arange(len(rays)), n_samp)            # (N,)
-    first = np.cumsum(n_samp) - n_samp
-    t = (np.arange(len(ray_of)) - first[ray_of]) / (n_samp - 1)[ray_of]
 
     u, v = orthonormal_basis(rays)              # per-ray ring basis
     ang = 2.0 * math.pi * np.arange(mask.n_ring_samples) / mask.n_ring_samples
     ring = mask.ring_radius * (np.cos(ang)[None, :, None] * u[:, None, :]
                                + np.sin(ang)[None, :, None] * v[:, None, :])  # (C, m, 3)
-
-    centers_v = vol.world_to_voxel(apex) + t[:, None] * rays_v[ray_of]      # (N, 3)
-    # one (N, 1 + m, 3) batch: each center (+ exact zeros keeps its bits), then its ring
+    # each center (+ exact zeros keeps its bits), then its ring
     offsets_v = np.concatenate([np.zeros((len(rays), 1, 3)), vol.vector_to_voxel(ring)], 1)
-    vals = sample_voxel(vol, centers_v[:, None, :] + offsets_v[ray_of])
-    vals = vals.reshape(-1, 1 + mask.n_ring_samples)
-    i_center = vals[:, 0]
-    i_ring = np.ascontiguousarray(vals[:, 1:]).mean(axis=1)    # the (N, m) block's sum order
-    scores = np.bincount(ray_of, i_center - i_ring, minlength=len(rays)) / n_samp
-    return scores, i_center
+    apex_v = vol.world_to_voxel(apex)
+    per_sample = 1 + mask.n_ring_samples        # lookups
+
+    def score(lo: int, hi: int):
+        """Scores and center samples of rays lo..hi-1."""
+        n = n_samp[lo:hi]
+        ray_of = np.repeat(np.arange(hi - lo), n)                # (N,)
+        first = np.cumsum(n) - n
+        t = (np.arange(len(ray_of)) - first[ray_of]) / (n - 1)[ray_of]
+        centers_v = apex_v + t[:, None] * rays_v[lo:hi][ray_of]     # (N, 3)
+        # one (N, 1 + m, 3) batch
+        vals = sample_voxel(vol, centers_v[:, None, :] + offsets_v[lo:hi][ray_of])
+        vals = vals.reshape(-1, per_sample)
+        i_center = vals[:, 0]
+        i_ring = np.ascontiguousarray(vals[:, 1:]).mean(axis=1)    # the (N, m) block's sum order
+        return np.bincount(ray_of, i_center - i_ring, minlength=hi - lo) / n, i_center
+
+    # chunk k: the rays whose last lookup is in [k, k + 1) * _CHUNK_LOOKUPS
+    ends = np.cumsum(n_samp) * per_sample
+    cuts = np.arange(_CHUNK_LOOKUPS, n_samp.sum() * per_sample, _CHUNK_LOOKUPS)
+    bounds = np.unique(np.concatenate(
+        [[0], np.searchsorted(ends, cuts, side="right"), [len(rays)]]))
+    pool = _scoring_pool() if len(bounds) > 2 else None
+    if pool is None:
+        return score(0, len(rays))
+    vol.background_intensity            # cached once, not by racing threads
+    scores, centers = zip(*pool.map(score, bounds[:-1], bounds[1:]))
+    return np.concatenate(scores), np.concatenate(centers)
 
 
 def cone_search(vol: Volume3D, apex, base_center, base_radius: float,

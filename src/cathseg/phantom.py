@@ -216,7 +216,9 @@ def _stamp_tube(vol: Volume3D, poly, radius, edge, floor: float = 0.0,
 def generate_phantom(spec: PhantomSpec,
                      model: SpringModelParams) -> tuple[Volume3D, list, SeedSet]:
     """Build (volume, gold centerlines, seeds) from a phantom spec; a voxel
-    past float32's range raises FloatingPointError."""
+    past float32's range raises FloatingPointError, and a tip that segment
+    would refuse (outside the volume, or not distal of the base plane)
+    ValueError."""
     dims = spec.dims
     try:
         data = np.full(dims, spec.background_intensity, dtype=np.float32)
@@ -271,6 +273,7 @@ def generate_phantom(spec: PhantomSpec,
                                estimates={"f0": cath.f0}))
         tips.append(pts[0].copy())
     seeds = SeedSet(tips=tips, plane=plane)
+    seeds.validate(vol)
     return vol, gold, seeds
 
 

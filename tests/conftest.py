@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cathseg import features
 from cathseg.engine import SegmentationConfig
 from cathseg.phantom import CatheterSpec, PhantomSpec, generate_phantom
 from cathseg.spring import SpringModelParams, build_model_table
@@ -31,6 +32,25 @@ def single_catheter_phantom(model, f0, *, depth=74.0, azimuth=0.3, noise=0.0,
                                                entry_point=(0.0, 0.0))],
                        rng_seed=rng_seed)
     return generate_phantom(spec, model)
+
+
+@pytest.fixture
+def scoring_threads(monkeypatch):
+    """``use(n)`` scores rays on n threads for the rest of one test, on a
+    pool made afresh; the pools the test made are shut down after it."""
+    original = features._pool
+
+    def close():
+        if features._pool not in (None, original):
+            features._pool.shutdown()
+
+    def use(n):
+        close()
+        monkeypatch.setattr(features, "_threads", n)
+        monkeypatch.setattr(features, "_pool", None)
+
+    yield use
+    close()
 
 
 @pytest.fixture(scope="session")

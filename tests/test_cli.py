@@ -72,10 +72,12 @@ def test_simulate_writes_table_and_curves(tmp_path):
 config_errors = pytest.mark.parametrize("doc", [
     {"bogus": 1}, {"n_c": "8"}, {"n_rays": 0}, {"r_cone": "inf"},
     {"r_cone": math.nan}, {"k_a": "inf"}, {"ring_radius": math.nan},
-    {"total_length": "inf"}, {"k_a": 1e-20}, {"k_a": 1e308}, {"k_a": 10**400}],
+    {"total_length": "inf"}, {"k_a": 1e-20}, {"k_a": 1e308}, {"k_a": 10**400},
+    {"n_c": 1e20}, {"n_rays": 1e20}, {"n_ring_samples": 1e20}],
     ids=["unknown_key", "string_bool", "n_rays_0", "r_cone_inf", "r_cone_nan",
          "k_a_inf", "ring_radius_nan", "total_length_inf", "k_a_unloadable",
-         "k_a_too_stiff", "k_a_400_digits"])
+         "k_a_too_stiff", "k_a_400_digits", "n_c_1e20", "n_rays_1e20",
+         "n_ring_samples_1e20"])
 
 
 @config_errors
@@ -243,6 +245,9 @@ def test_phantom_bad_spec_exit_code(tmp_path):
     '{"dims": [40, 40, 40], "rng_seed": 1.5}',
     '{"dims": [40, 40, 40], "rng_seed": true}',
     '{"dims": [40, 40, 40], "bloom": {"enabled": "no"}}',
+    # JSON text: a tip outside the volume, which segment would refuse
+    '{"dims": [16, 16, 16], "catheters": [{"f0": 20, "insertion_depth": 10, '
+    '"deflection_azimuth": 0, "entry_point": [500, 0]}]}',
 ], ids=["insertion_beyond_length", "unknown_distractor_kind", "empty_dims",
         "zero_spacing", "zero_insertion_depth", "negative_insertion_depth",
         "depth_never_reached", "over_deflected", "distractor_end_infinite",
@@ -257,7 +262,7 @@ def test_phantom_bad_spec_exit_code(tmp_path):
         "spacing_nan",
         "background_intensity_overflow", "noise_sigma_overflow", "rim_gain_overflow",
         "rng_seed_negative", "rng_seed_string", "rng_seed_fractional", "rng_seed_bool",
-        "bloom_enabled_string"])
+        "bloom_enabled_string", "tip_outside_volume"])
 def test_phantom_invalid_spec_exit_code(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     if isinstance(spec, str):
@@ -868,6 +873,9 @@ def test_config_int_fields_accept_integral_numbers_only():
     for bad in (8.7, "8", True, None, [8]):
         with pytest.raises(ValueError, match="n_c"):
             cli.config_from_dict({"n_c": bad})
+    for key in ("n_c", "n_rays", "n_ring_samples"):   # past bezier.MAX_SAMPLES
+        with pytest.raises(ValueError, match=key):
+            cli.config_from_dict({key: 10**6 + 1})
 
 
 def test_config_float_fields_take_numbers_inf_and_optional_null():

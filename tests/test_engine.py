@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cathseg import engine, spring
+from cathseg import engine, features, spring
 from cathseg.engine import (TAG_COMPROMISE, SegmentationConfig, Trajectory,
                             estimate_model, gate_candidate, lateral_direction,
                             load_trajectory, propose_model_point, save_trajectory,
                             segment_batch, segment_catheter, walk)
 from cathseg.spring import cut_at_depth, simulate_forward
-from cathseg.volume import Volume3D, distance_to_plane
+from cathseg.volume import Volume3D, distance_to_plane, sample_voxel
 
 from conftest import single_catheter_phantom
 
@@ -286,6 +286,47 @@ def test_segment_deterministic(config, bent_phantom):
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.bezier_control, b.bezier_control)
     assert a.provenance == b.provenance
+
+
+def test_segment_same_for_any_scoring_thread_count(config, bent_phantom,
+                                                   scoring_threads, monkeypatch):
+    """Three threads score each ray batch in chunks; the trajectory has the
+    same bits as on one thread, so no result depends on the core count."""
+    vol, gold, seeds = bent_phantom
+    calls = []
+    trajs = []
+    for n in (1, 3):
+        scoring_threads(n)
+        monkeypatch.setattr(features, "sample_voxel",
+                            lambda v, u, n=n: calls.append(n) or sample_voxel(v, u))
+        trajs.append(segment_catheter(vol, seeds.tips[0], seeds.plane, config))
+    assert calls.count(3) > calls.count(1)
+    one, three = trajs
+    assert one.points.tobytes() == three.points.tobytes()
+    assert one.bezier_control.tobytes() == three.bezier_control.tobytes()
+    assert one.provenance == three.provenance
+    assert one.estimates == three.estimates
+
+
+def test_criterion_7_catheter_lookup_count(config, model, monkeypatch):
+    """The exact cost of criterion 7's catheter, which chunking the ray
+    batches leaves alone: 1,183,806 trilinear lookups in 16 ray batches,
+    279,054 of them in the initialization cone."""
+    vol, gold, seeds = single_catheter_phantom(model, 50.0, depth=70.0,
+                                               dims=(256, 256, 80))
+    lookups = []
+    batches = []
+    real_scores = features._ray_scores
+    monkeypatch.setattr(features, "sample_voxel",
+                        lambda v, u: lookups.append(u.size // 3) or sample_voxel(v, u))
+    monkeypatch.setattr(features, "_ray_scores",
+                        lambda *args: batches.append(1) or real_scores(*args))
+    estimate_model(vol, seeds.tips[0], seeds.plane, config)
+    assert (sum(lookups), len(batches)) == (279_054, 2)
+    lookups.clear()
+    batches.clear()
+    segment_catheter(vol, seeds.tips[0], seeds.plane, config)
+    assert (sum(lookups), len(batches)) == (1_183_806, 16)
 
 
 def _forward_angle(model, est, arc):

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -241,6 +245,72 @@ def test_ray_sampled_every_half_voxel_of_its_own_length(monkeypatch, axis,
     cone_search(vol, apex, apex + length * np.eye(3)[axis], 0.0, 1, MASK)
     assert sum(points) == (samples_per_mm * length + 1) * (1 + MASK.n_ring_samples)
     assert len(points) == len(batches) == 2      # the coarse ray, an empty fine pass
+
+
+@pytest.mark.parametrize("chunk_vs_batch", [1, 0, -1, "seventh"],
+                         ids=["batch_under_one_chunk", "batch_at_one_chunk",
+                              "batch_over_one_chunk", "seven_chunks"])
+def test_chunked_ray_scores_equal_one_call(monkeypatch, scoring_threads,
+                                           chunk_vs_batch):
+    """Rays of many lengths, some leaving the volume: the threads score
+    chunks of whole rays to the same bits as one call on one thread."""
+    rng = np.random.default_rng(5)
+    dims = (40, 36, 30)
+    vol = Volume3D(dims=dims, spacing=(0.5, 0.6, 1.0), origin=(1.0, -2.0, 3.0),
+                   axis_directions=np.eye(3),
+                   data=rng.uniform(0.0, 100.0, dims).astype(np.float32))
+    apex = np.array([10.0, 8.0, 15.0])
+    targets = apex + rng.normal(0.0, 12.0, (120, 3))
+    assert not vol.contains(targets).all()
+    calls = []
+    real = features.sample_voxel
+
+    def counting(v, u):
+        calls.append(u.size // 3)
+        return real(v, u)
+
+    monkeypatch.setattr(features, "sample_voxel", counting)
+    scoring_threads(1)
+    scores, centers = features._ray_scores(vol, apex, targets, MASK)
+    batch = calls.pop()
+    scoring_threads(3)
+    monkeypatch.setattr(features, "_CHUNK_LOOKUPS", batch // 7
+                        if chunk_vs_batch == "seventh" else batch + chunk_vs_batch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)          # threads interleave as often as they can
+    try:
+        got_scores, got_centers = features._ray_scores(vol, apex, targets, MASK)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got_scores.tobytes() == scores.tobytes()
+    assert got_centers.tobytes() == centers.tobytes()
+    assert sum(calls) == batch
+    if chunk_vs_batch == "seventh":
+        assert len(calls) > 2
+    else:
+        assert len(calls) == {1: 1, 0: 1, -1: 2}[chunk_vs_batch]
+
+
+def _many_chunk_scores():
+    """Scores of a ray batch several chunks long, as bytes."""
+    dims = (40, 40, 40)
+    vol = Volume3D(dims=dims, spacing=(0.5, 0.5, 0.5), origin=(0, 0, 0),
+                   axis_directions=np.eye(3),
+                   data=np.random.default_rng(0).uniform(0, 100, dims).astype(np.float32))
+    apex = np.array([5.0, 5.0, 5.0])
+    targets = apex + np.random.default_rng(1).normal(0.0, 8.0, (200, 3))
+    return features._ray_scores(vol, apex, targets, MASK)[0].tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_forked_child_scores_on_a_pool_of_its_own(scoring_threads):
+    """A child forked after the parent made its pool has none of the pool's
+    threads; it must make its own rather than wait on the parent's."""
+    scoring_threads(2)
+    want = _many_chunk_scores()
+    assert features._pool is not None
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_many_chunk_scores).get(timeout=60) == want
 
 
 def test_cone_casts_coarse_then_three_refinement_discs(monkeypatch):
