@@ -26,8 +26,9 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # core that runs slow for a while holds up less than its share of a batch
 _CHUNK_LOOKUPS = 2**14
 
-_threads = None                 # ray-scoring threads; None: every usable core
-_pool = None                    # made on first use by _scoring_pool
+# the process's one worker pool, shared by ray scoring and phantom generation
+_threads = None                 # its threads; None: one per usable core
+_pool = None                    # made on first use by _worker_pool
 _pool_lock = threading.Lock()
 
 
@@ -83,22 +84,23 @@ def _usable_cores() -> int:
 
 
 def share_cores(n_processes: int):
-    """Score rays on this process's share of the usable cores, for one of
-    ``n_processes`` processes that score side by side; call before the
-    first ray is scored."""
+    """Run the worker pool on this process's share of the usable cores, for
+    one of ``n_processes`` processes that work side by side; call before
+    the first ray is scored or phantom generated."""
     global _threads
     _threads = max(1, _usable_cores() // n_processes)
 
 
-def _scoring_pool() -> ThreadPoolExecutor | None:
-    """The process's ray-scoring threads, made on first use: one per usable
-    core (or per ``share_cores`` share); None for one."""
+def _worker_pool() -> ThreadPoolExecutor | None:
+    """The process's worker pool, which scores rays and draws phantom noise,
+    made on first use: one thread per usable core (or per ``share_cores``
+    share); None for one."""
     global _pool, _threads
     with _pool_lock:
         if _threads is None:
             _threads = _usable_cores()
         if _pool is None and _threads > 1:
-            _pool = ThreadPoolExecutor(_threads, thread_name_prefix="cathseg-rays")
+            _pool = ThreadPoolExecutor(_threads, thread_name_prefix="cathseg-worker")
         return _pool
 
 
@@ -123,7 +125,7 @@ def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
     map is affine, so transforming the apex and the per-ray vectors once is
     enough.  The rays' samples form one ragged batch, ray by ray.  A batch
     of more than ``_CHUNK_LOOKUPS`` lookups is cut between rays into chunks
-    that the scoring threads compose, sample and score side by side, and
+    that the worker pool's threads compose, sample and score side by side, and
     their results are joined in ray order; each ray is scored whole, with
     the same arithmetic, so the result has the same bits for any number of
     threads.  A smaller batch, or a process with one thread, is scored on
@@ -161,7 +163,7 @@ def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
     cuts = np.arange(_CHUNK_LOOKUPS, n_samp.sum() * per_sample, _CHUNK_LOOKUPS)
     bounds = np.unique(np.concatenate(
         [[0], np.searchsorted(ends, cuts, side="right"), [len(rays)]]))
-    pool = _scoring_pool() if len(bounds) > 2 else None
+    pool = _worker_pool() if len(bounds) > 2 else None
     if pool is None:
         return score(0, len(rays))
     vol.background_intensity            # cached once, not by racing threads

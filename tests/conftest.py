@@ -36,8 +36,9 @@ def single_catheter_phantom(model, f0, *, depth=74.0, azimuth=0.3, noise=0.0,
 
 @pytest.fixture
 def scoring_threads(monkeypatch):
-    """``use(n)`` scores rays on n threads for the rest of one test, on a
-    pool made afresh; the pools the test made are shut down after it."""
+    """``use(n)`` runs the worker pool (ray scoring and phantom generation)
+    on n threads for the rest of one test, on a pool made afresh; the pools
+    the test made are shut down after it."""
     original = features._pool
 
     def close():

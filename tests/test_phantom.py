@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -12,7 +13,8 @@ from cathseg.phantom import (BloomSpec, CatheterSpec, DistractorSpec, PhantomSpe
                              force_for_deflection,
                              generate_phantom, load_phantom_spec,
                              save_phantom_spec, standard_benchmark)
-from cathseg.spring import SpringModelParams, cut_at_depth, simulate_forward
+from cathseg.spring import (SpringModelParams, cut_at_depth, find_max_force,
+                            simulate_forward)
 from cathseg.volume import distance_to_plane, sample_voxel
 
 from conftest import single_catheter_phantom
@@ -276,13 +278,12 @@ def _stamp_oracle(vol, poly, *args, **kwargs):
         _stamp_tube_full_box(vol, poly, *args, **kwargs)
 
 
-@pytest.mark.parametrize("spacing", [(0.5, 0.5, 1.0), (1.0, 0.7, 0.4)],
-                         ids=["spacing_05_05_10", "spacing_10_07_04"])
-@pytest.mark.parametrize("bloom", [False, True], ids=["plain", "bloom"])
-def test_stamping_matches_full_box_oracle(model, monkeypatch, spacing, bloom):
+def _cluttered_spec(spacing, bloom, noise_sigma=3.0):
+    """Two catheters (one faint, with dropouts) and four distractors, some
+    leaving the volume, in a 40 x 36 x 50 mm volume of the given spacing."""
     dims = tuple(int(round(e / s)) + 1 for e, s in zip((40.0, 36.0, 50.0), spacing))
-    spec = PhantomSpec(
-        dims=dims, spacing=spacing, noise_sigma=3.0, rng_seed=4,
+    return PhantomSpec(
+        dims=dims, spacing=spacing, noise_sigma=noise_sigma, rng_seed=4,
         bloom=BloomSpec(enabled=bloom, rim_radius=1.0, rim_gain=60.0),
         catheters=[
             CatheterSpec(f0=40.0, insertion_depth=42.0, deflection_azimuth=0.7,
@@ -299,6 +300,13 @@ def test_stamping_matches_full_box_oracle(model, monkeypatch, spacing, bloom):
             # centered on the x = 0 face
             DistractorSpec(kind="blob", p0=(0.0, 20.0, 25.0), radius=3.0),
             DistractorSpec(kind="blob", p0=(30.0, 12.0, 30.0), radius=2.2)])
+
+
+@pytest.mark.parametrize("spacing", [(0.5, 0.5, 1.0), (1.0, 0.7, 0.4)],
+                         ids=["spacing_05_05_10", "spacing_10_07_04"])
+@pytest.mark.parametrize("bloom", [False, True], ids=["plain", "bloom"])
+def test_stamping_matches_full_box_oracle(model, monkeypatch, spacing, bloom):
+    spec = _cluttered_spec(spacing, bloom)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fast = generate_phantom(spec, model)[0].data
@@ -324,3 +332,60 @@ def test_zero_rim_gain_stamps_the_bytes_of_no_rim(model):
         volume(BloomSpec(enabled=False)).tobytes()
     assert volume(BloomSpec(enabled=True)).tobytes() != \
         volume(BloomSpec(enabled=False)).tobytes()
+
+
+@pytest.mark.parametrize("noise_sigma", [3.0, 0.0], ids=["noise", "noiseless"])
+def test_volume_bytes_same_for_any_thread_count(model, scoring_threads, monkeypatch,
+                                                noise_sigma):
+    """Noise drawn on a pool thread gives the bytes of noise drawn inline."""
+    drawn_on = []
+
+    def draw_noise(spec, noise):
+        drawn_on.append(threading.current_thread().name)
+        draw(spec, noise)
+
+    draw = phantom._draw_noise
+    monkeypatch.setattr(phantom, "_draw_noise", draw_noise)
+    spec = _cluttered_spec((0.5, 0.5, 1.0), True, noise_sigma)
+    volumes = []
+    for n in (1, 3):
+        scoring_threads(n)
+        volumes.append(generate_phantom(spec, model)[0].data.tobytes())
+    assert volumes[0] == volumes[1]
+    if noise_sigma:
+        assert drawn_on[0] == threading.current_thread().name
+        assert drawn_on[1].startswith("cathseg-worker")
+    else:
+        assert drawn_on == []
+
+
+def test_noise_overflow_raises_from_the_pool_thread(model, scoring_threads):
+    scoring_threads(2)
+    with pytest.raises(FloatingPointError):
+        generate_phantom(PhantomSpec(dims=(40, 40, 40), noise_sigma=1e39), model)
+
+
+@pytest.mark.parametrize("catheter, distractors, message", [
+    (CatheterSpec(f0=0.0, insertion_depth=500.0, deflection_azimuth=0.0,
+                  entry_point=(0.0, 0.0)), [],
+     r"insertion_depth must lie in \(0, catheter length\]"),
+    (CatheterSpec(f0=0.5 * find_max_force(SpringModelParams()), insertion_depth=180.0,
+                  deflection_azimuth=0.0, entry_point=(0.0, 0.0)), [],
+     "never reaches insertion_depth 180.0 mm"),
+    (CatheterSpec(f0=20.0, insertion_depth=10.0, deflection_azimuth=0.0,
+                  entry_point=(500.0, 0.0)), [], "tip 0 at .* lies outside the volume"),
+    (CatheterSpec(f0=20.0, insertion_depth=10.0, deflection_azimuth=0.0,
+                  entry_point=(0.0, 0.0)), [DistractorSpec(kind="spiral")],
+     "unknown distractor kind 'spiral'"),
+], ids=["insertion_beyond_length", "depth_never_reached", "tip_outside_volume",
+        "unknown_distractor_kind"])
+def test_spec_that_fails_its_checks_draws_no_noise(model, scoring_threads, monkeypatch,
+                                                   catheter, distractors, message):
+    scoring_threads(2)
+    drawn = []
+    monkeypatch.setattr(phantom, "_draw_noise", lambda *args: drawn.append(args))
+    spec = PhantomSpec(dims=(32, 32, 32), noise_sigma=3.0, catheters=[catheter],
+                       distractors=distractors)
+    with pytest.raises(ValueError, match=message):
+        generate_phantom(spec, model)
+    assert drawn == []
