@@ -52,12 +52,19 @@ def orthonormal_basis(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``e`` least aligned with ``w``, and ``v = w x u``."""
     w = np.asarray(direction, dtype=float)
     w = w / np.linalg.norm(w, axis=-1, keepdims=True)
-    e = np.zeros_like(w)
-    np.put_along_axis(e, np.argmin(np.abs(w), axis=-1)[..., None], 1.0, axis=-1)
-    u = np.cross(w, e)
+    e = (np.argmin(np.abs(w), axis=-1)[..., None] == np.arange(3)).astype(float)
+    u = _cross(w, e)
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    v = np.cross(w, u)
+    v = _cross(w, u)
     return u, v
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two (..., 3) stacks of one shape: its multiplies and
+    subtracts in its order, so every bit, signed zeros included, matches."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def disc_points(center, normal, radius: float, n: int) -> np.ndarray:

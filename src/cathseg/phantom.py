@@ -29,6 +29,8 @@ from .volume import BasePlane, SeedSet, Volume3D, read_numbers
 
 _CENTERLINE_STEP = 0.25  # mm, dense resampling used for distance queries
 _NOISE_SLAB = 16         # first-axis planes of noise drawn per call
+_WINDOW_MARGIN = 1e-9    # relative: a reach / spacing ratio this close below an
+                         # integer counts as that integer (2.8 / 0.4 = 6.999...)
 
 # standard benchmark knobs
 BENCH_N_VOLUMES = 10
@@ -161,18 +163,29 @@ def _centerline_world(cath: CatheterSpec, model: SpringModelParams,
 
 
 def _near_voxels(vol: Volume3D, points, reach):
-    """Indices and world centers of the voxels within ``ceil(reach /
-    spacing) + 1`` voxels, per axis, of the voxel holding one of ``points``
-    (clamped into the volume): every voxel center closer than ``reach`` to a
-    point is among them.  A reach past the volume's extent spans it all."""
+    """Indices and world centers of the voxels at offsets ``-f .. f + 1``,
+    per axis, of the voxel holding one of ``points`` (clamped into the
+    volume), where ``f = floor(reach / spacing)``: every voxel center closer
+    than ``reach`` to a point is among them.
+
+    A point at voxel coordinate ``x`` is held by ``h = floor(x)``, so
+    ``x - h`` lies in [0, 1); a center ``c`` closer than ``reach`` has
+    ``c - x`` in (-r, r) for ``r = reach / spacing``, hence ``c - h`` in
+    (-r, r + 1), whose integers lie in ``-f .. f + 1``.  Clamping a held
+    voxel into the volume only narrows the centers a point can reach.  A
+    ratio within rounding below an integer takes the wider window, and a
+    reach past the volume's extent spans it all.
+    """
     shape = np.asarray(vol.dims)
     held = np.clip(np.floor(vol.world_to_voxel(points)), 0, shape - 1).astype(int)
-    pad = np.ceil(np.minimum(reach, shape * vol.spacing) / vol.spacing).astype(int) + 1
-    lo = np.maximum(held.min(axis=0) - pad, 0)
-    hi = np.minimum(held.max(axis=0) + pad + 1, shape)
+    ratio = np.minimum(reach, shape * vol.spacing) / vol.spacing
+    f = np.floor(ratio * (1.0 + _WINDOW_MARGIN)).astype(int)
+    lo = np.maximum(held.min(axis=0) - f, 0)
+    hi = np.minimum(held.max(axis=0) + f + 2, shape)
     mask = np.zeros(hi - lo, dtype=bool)
     mask[tuple((held - lo).T)] = True
-    mask = ndimage.maximum_filter(mask, size=2 * pad + 1, mode="constant")
+    # an even size 2f + 2 at origin 0 marks offsets -f .. f + 1 of each voxel
+    mask = ndimage.maximum_filter(mask, size=2 * f + 2, mode="constant")
     idx = np.argwhere(mask) + lo
     return tuple(idx.T), vol.voxel_to_world(idx)
 

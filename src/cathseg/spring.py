@@ -90,20 +90,25 @@ def simulate_forward(params: SpringModelParams, f0: float) -> SpringState:
     """Forward scheme from the clamped base: alpha_0 = 0, F_0 given.
 
     Raises :class:`OverDeflectionError` when the running angle reaches pi/2.
+    The recurrence runs on Python floats: each step is the float64
+    ``f / k_a``, ``s + a`` and ``f * math.cos(s)`` that numpy scalars give.
     """
     if f0 < 0:
         raise ValueError("f0 must be non-negative")
     n = params.n_seg
-    alpha = np.zeros(n)
-    alpha_sum = np.zeros(n)
-    force = np.zeros(n)
-    force[0] = f0
-    for i in range(n - 1):
-        alpha[i + 1] = force[i] / params.k_a
-        alpha_sum[i + 1] = alpha_sum[i] + alpha[i + 1]
-        if abs(alpha_sum[i + 1]) >= math.pi / 2:
-            raise OverDeflectionError(i + 1, alpha_sum[i + 1])
-        force[i + 1] = force[i] * math.cos(alpha_sum[i + 1])
+    k_a = params.k_a
+    f, s = float(f0), 0.0
+    alpha, alpha_sum, force = [0.0], [0.0], [f]
+    for i in range(1, n):
+        a = f / k_a
+        s = s + a
+        if abs(s) >= math.pi / 2:
+            raise OverDeflectionError(i, s)
+        f = f * math.cos(s)
+        alpha.append(a)
+        alpha_sum.append(s)
+        force.append(f)
+    alpha, alpha_sum, force = np.array(alpha), np.array(alpha_sum), np.array(force)
     positions = np.zeros((n + 1, 2))
     steps = params.seg_length * np.stack([np.cos(alpha_sum), np.sin(alpha_sum)], axis=1)
     positions[1:] = np.cumsum(steps, axis=0)

@@ -110,6 +110,40 @@ def test_orthonormal_basis_properties():
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
+def _basis_with_np_cross(direction):
+    """``orthonormal_basis`` as written with ``np.cross`` and
+    ``np.put_along_axis``: the reference for its bits."""
+    w = np.asarray(direction, dtype=float)
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    e = np.zeros_like(w)
+    np.put_along_axis(e, np.argmin(np.abs(w), axis=-1)[..., None], 1.0, axis=-1)
+    u = np.cross(w, e)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return u, np.cross(w, u)
+
+
+def test_orthonormal_basis_bits_match_np_cross():
+    """Same bits as the ``np.cross`` form, signed zeros included, for random,
+    axis-aligned and negative-axis directions, one at a time and stacked."""
+    axes = np.concatenate([np.eye(3), -np.eye(3), 2.5 * np.eye(3)])
+    mixed = np.array([[1.0, -1.0, 0.0], [0.0, -2.0, 3.0], [-0.0, 0.0, -1.0],
+                      [-1.0, 0.0, -0.0], [1e-300, -1.0, 1e-300], [-3.0, 3.0, 3.0]])
+    directions = np.concatenate(
+        [np.random.default_rng(8).normal(size=(40, 3)), axes, mixed])
+    for stack in (directions, directions.reshape(5, 11, 3)):
+        u, v = orthonormal_basis(stack)
+        u_ref, v_ref = _basis_with_np_cross(stack)
+        assert u.tobytes() == u_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+    signs = []
+    for w in directions:
+        u, v = orthonormal_basis(w)
+        u_ref, v_ref = _basis_with_np_cross(w)
+        assert u.shape == v.shape == (3,)
+        assert u.tobytes() == u_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+        signs.extend(np.signbit(np.concatenate([u, v]))[np.concatenate([u, v]) == 0])
+    assert True in signs and False in signs       # both zeros were compared
+
+
 def test_orthonormal_basis_stack_matches_rows():
     w = np.random.default_rng(4).normal(size=(50, 3))
     u, v = orthonormal_basis(w)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from cathseg import phantom, spring
@@ -15,7 +16,7 @@ from cathseg.phantom import (BloomSpec, CatheterSpec, DistractorSpec, PhantomSpe
                              save_phantom_spec, standard_benchmark)
 from cathseg.spring import (SpringModelParams, cut_at_depth, find_max_force,
                             simulate_forward)
-from cathseg.volume import distance_to_plane, sample_voxel
+from cathseg.volume import Volume3D, distance_to_plane, sample_voxel
 
 from conftest import single_catheter_phantom
 
@@ -315,6 +316,88 @@ def test_stamping_matches_full_box_oracle(model, monkeypatch, spacing, bloom):
     assert float(oracle.min()) < 20.0
     assert (float(oracle.max()) > 140.0) == bloom
     assert np.array_equal(fast, oracle)
+
+
+@st.composite
+def _window_case(draw):
+    """A small volume, a reach, and points in, outside and on the faces of it.
+
+    Half the cases take a reach and spacing whose ratio is an integer up to
+    rounding (2.8 / 0.4 evaluates to 6.999999999999999)."""
+    if draw(st.booleans()):
+        reach, step = draw(st.sampled_from([(1.8, 0.6), (2.8, 0.4), (4.0, 1.0),
+                                            (0.9, 0.3), (2.1, 0.7)]))
+        spacing = [step if draw(st.booleans()) else draw(st.floats(0.2, 1.5))
+                   for _ in range(3)]
+    else:
+        reach = draw(st.floats(0.05, 5.0))
+        spacing = draw(st.lists(st.floats(0.2, 1.5), min_size=3, max_size=3))
+    dims = draw(st.lists(st.integers(1, 12), min_size=3, max_size=3))
+    origin = np.array(draw(st.sampled_from([(0.0, 0.0, 0.0), (-1.3, 2.0, 0.55)])
+                           | st.tuples(*[st.floats(-3.0, 3.0)] * 3)))
+    extent = (np.array(dims) - 1) * np.array(spacing)
+
+    def coordinate(axis):
+        face = draw(st.sampled_from([None, 0.0, 1.0]))
+        if face is not None:
+            return origin[axis] + face * extent[axis]
+        return origin[axis] + draw(st.floats(-reach - 1.0, extent[axis] + reach + 1.0))
+
+    points = [[coordinate(c) for c in range(3)]
+              for _ in range(draw(st.integers(1, 6)))]
+    vol = Volume3D(dims=dims, spacing=spacing, origin=origin,
+                   axis_directions=np.eye(3), data=np.zeros(dims, dtype=np.float32))
+    return vol, np.array(points), reach
+
+
+@given(_window_case())
+@settings(max_examples=400, deadline=None)
+def test_near_voxels_hold_every_voxel_within_reach(case):
+    """Every voxel whose center the stamp's kd-tree query puts within reach
+    of the points is among the candidates ``_near_voxels`` returns."""
+    vol, points, reach = case
+    vox, centers = phantom._near_voxels(vol, points, reach)
+    idx = np.stack(vox, axis=1)
+    assert len(np.unique(idx, axis=0)) == len(idx)
+    assert np.array_equal(centers, vol.voxel_to_world(idx))
+    every = np.argwhere(np.ones(vol.dims, dtype=bool))
+    dist, _ = cKDTree(points).query(vol.voxel_to_world(every), k=1,
+                                    distance_upper_bound=reach)
+    within = {tuple(v) for v in every[np.isfinite(dist)]}
+    assert within <= {tuple(v) for v in idx}
+
+
+def test_near_voxels_take_the_wider_window_below_an_integer_ratio():
+    """2.8 / 0.4 evaluates to 6.999999999999999, yet the kd-tree puts a
+    center 7 voxels below the held one at 2.7999999999999994 mm: within
+    reach.  Only the window of f = 7 holds it."""
+    origin = np.array([-1.5633446592126636, -1.8758765641171002, -0.2741545405826198])
+    vol = Volume3D(dims=(20, 3, 3), spacing=(0.4, 0.4, 0.4), origin=origin,
+                   axis_directions=np.eye(3), data=np.zeros((20, 3, 3), dtype=np.float32))
+    point = np.array([[2.036655340787336, origin[1] + 0.4, origin[2] + 0.4]])
+    held = int(np.floor(vol.world_to_voxel(point)[0, 0]))
+    center = vol.voxel_to_world(np.array([[held - 7, 1, 1]]))
+    assert cKDTree(point).query(center, distance_upper_bound=2.8)[0][0] < 2.8
+    vox, _ = phantom._near_voxels(vol, point, 2.8)
+    assert (held - 7, 1, 1) in set(zip(*(v.tolist() for v in vox)))
+
+
+@pytest.mark.parametrize("bloom, queries", [(False, 14_775), (True, 22_503)],
+                         ids=["plain", "bloom"])
+def test_stamping_query_count(model, monkeypatch, bloom, queries):
+    """The window grows each held voxel by -f .. f + 1 voxels per axis, and
+    the stamps of the cluttered spec query exactly this many voxel centers."""
+    counted = []
+    near = phantom._near_voxels
+
+    def counting(*args):
+        vox, centers = near(*args)
+        counted.append(len(centers))
+        return vox, centers
+
+    monkeypatch.setattr(phantom, "_near_voxels", counting)
+    generate_phantom(_cluttered_spec((0.5, 0.5, 1.0), bloom), model)
+    assert sum(counted) == queries
 
 
 def test_zero_rim_gain_stamps_the_bytes_of_no_rim(model):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cathseg import spring
+from cathseg.phantom import force_for_deflection
 from cathseg.spring import (ModelTable, OverDeflectionError,
                             SingularConfigurationError, SpringModelParams,
                             bracket_threshold, build_model_table, cut_at_depth,
                             export_table_csv, find_max_force, lookup,
-                            simulate_backward, simulate_forward, solve_at_depth)
+                            SpringState, simulate_backward, simulate_forward,
+                            solve_at_depth)
 
 
 def scalar_recurrence_oracle(k_a, n_seg, seg_len, f0):
@@ -24,6 +28,60 @@ def scalar_recurrence_oracle(k_a, n_seg, seg_len, f0):
         a += seg_len * math.cos(s)
         d += seg_len * math.sin(s)
     return a, d
+
+
+def numpy_scalar_forward(params, f0):
+    """``simulate_forward`` as written with a step loop over numpy arrays:
+    the reference for its bits and for its over-deflection error."""
+    n = params.n_seg
+    alpha = np.zeros(n)
+    alpha_sum = np.zeros(n)
+    force = np.zeros(n)
+    force[0] = f0
+    for i in range(n - 1):
+        alpha[i + 1] = force[i] / params.k_a
+        alpha_sum[i + 1] = alpha_sum[i] + alpha[i + 1]
+        if abs(alpha_sum[i + 1]) >= math.pi / 2:
+            raise OverDeflectionError(i + 1, alpha_sum[i + 1])
+        force[i + 1] = force[i] * math.cos(alpha_sum[i + 1])
+    positions = np.zeros((n + 1, 2))
+    steps = params.seg_length * np.stack([np.cos(alpha_sum), np.sin(alpha_sum)], axis=1)
+    positions[1:] = np.cumsum(steps, axis=0)
+    return SpringState(alpha=alpha, alpha_sum=alpha_sum, force=force, positions=positions)
+
+
+@given(params=st.builds(SpringModelParams,
+                        k_a=st.one_of(st.floats(1.0, 1e5), st.integers(1, 10**5)),
+                        n_seg=st.integers(2, 40),
+                        total_length=st.floats(1.0, 500.0)),
+       f0=st.one_of(st.just(0), st.just(0.0), st.integers(0, 10**6),
+                    st.floats(0.0, 1e6), st.floats(0.0, 1e-300)))
+@settings(max_examples=300, deadline=None)
+def test_forward_bits_match_numpy_scalar_loop(params, f0):
+    """Same bits in every array, or the same over-deflection segment and
+    message, as the step loop over numpy arrays."""
+    try:
+        expected = numpy_scalar_forward(params, f0)
+    except OverDeflectionError as exc:
+        with pytest.raises(OverDeflectionError) as got:
+            simulate_forward(params, f0)
+        assert got.value.segment == exc.segment
+        assert str(got.value) == str(exc)
+        return
+    state = simulate_forward(params, f0)
+    for name in ("alpha", "alpha_sum", "force", "positions"):
+        got, want = getattr(state, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_force_for_deflection_same_as_with_numpy_scalar_loop(model, monkeypatch):
+    pairs = [(74.0, 0.5), (74.0, 5.0), (62.0, 8.0), (86.0, 11.0), (70.0, 1e-3)]
+    forces = [force_for_deflection(model, depth, target) for depth, target in pairs]
+    monkeypatch.setattr(spring, "simulate_forward", numpy_scalar_forward)
+    assert forces == [force_for_deflection(model, depth, target)
+                      for depth, target in pairs]
+    assert all(f > 0 for f in forces)
 
 
 def test_zero_force_stays_on_axis(model):
