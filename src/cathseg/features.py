@@ -146,9 +146,9 @@ def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
     ang = 2.0 * math.pi * np.arange(mask.n_ring_samples) / mask.n_ring_samples
     ring = mask.ring_radius * (np.cos(ang)[None, :, None] * u[:, None, :]
                                + np.sin(ang)[None, :, None] * v[:, None, :])  # (C, m, 3)
-    # each center (+ exact zeros keeps its bits), then its ring
-    offsets_v = np.concatenate([np.zeros((len(rays), 1, 3)), vol.vector_to_voxel(ring)], 1)
-    apex_v = vol.world_to_voxel(apex)
+    ring_v = vol.vector_to_voxel(ring).transpose(2, 1, 0).copy()   # (3, m, C)
+    rays_v = rays_v.T.copy()                                        # (3, C)
+    apex_v = vol.world_to_voxel(apex)[:, None]
     per_sample = 1 + mask.n_ring_samples        # lookups
 
     def score(lo: int, hi: int):
@@ -157,12 +157,15 @@ def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
         ray_of = np.repeat(np.arange(hi - lo), n)                # (N,)
         first = np.cumsum(n) - n
         t = (np.arange(len(ray_of)) - first[ray_of]) / (n - 1)[ray_of]
-        centers_v = apex_v + t[:, None] * rays_v[lo:hi][ray_of]     # (N, 3)
-        # one (N, 1 + m, 3) batch
-        vals = sample_voxel(vol, centers_v[:, None, :] + offsets_v[lo:hi][ray_of])
-        vals = vals.reshape(-1, per_sample)
-        i_center = vals[:, 0]
-        i_ring = np.ascontiguousarray(vals[:, 1:]).mean(axis=1)    # the (N, m) block's sum order
+        # one (3, 1 + m, N) batch, axis by axis: every center, then ring by ring
+        coords = np.empty((3, per_sample, len(t)))
+        centers = coords[:, 0]
+        np.multiply(t, np.repeat(rays_v[:, lo:hi], n, axis=1), out=centers)
+        centers += apex_v
+        np.add(centers[:, None], np.repeat(ring_v[:, :, lo:hi], n, axis=2), out=coords[:, 1:])
+        vals = sample_voxel(vol, coords.reshape(3, -1).T).reshape(per_sample, -1)
+        i_center = vals[0]
+        i_ring = _ring_mean(vals[1:])
         return np.bincount(ray_of, i_center - i_ring, minlength=hi - lo) / n, i_center
 
     # chunk k: the rays whose last lookup is in [k, k + 1) * _CHUNK_LOOKUPS
@@ -176,6 +179,36 @@ def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
     vol.background_intensity            # cached once, not by racing threads
     scores, centers = zip(*pool.map(score, bounds[:-1], bounds[1:]))
     return np.concatenate(scores), np.concatenate(centers)
+
+
+def _ring_mean(rows: np.ndarray) -> np.ndarray:
+    """Mean of the m rows (m, N) down each column, summed in the order numpy
+    sums a contiguous row of m, so its bits match ``.mean(axis=1)`` of the
+    (N, m) C-contiguous transpose: +0.0 plus the pairwise sum, over m."""
+    return (0.0 + _pairwise_sum(rows)) / len(rows)
+
+
+def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of a contiguous row of m, run on m rows at once:
+    under 8 a running sum from -0.0; up to 128 eight running sums, joined in
+    pairs, then the rest one at a time; above that, two halves cut at a
+    multiple of 8."""
+    m = len(rows)
+    if m < 8:
+        total = -0.0 + rows[0]
+        for row in rows[1:]:
+            total += row
+        return total
+    if m <= 128:
+        acc = rows[:8]
+        for i in range(8, m - m % 8, 8):
+            acc = acc + rows[i:i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for row in rows[m - m % 8:]:
+            total += row
+        return total
+    half = m // 2 - m // 2 % 8
+    return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
 
 
 def cone_search(vol: Volume3D, apex, base_center, base_radius: float,

@@ -179,9 +179,16 @@ def sample_voxel(vol: Volume3D, u: np.ndarray):
 
     Points outside the voxel-center hull return ``vol.background_intensity``
     (the volume maximum), so rays leaving the volume never look like dark
-    voids.
+    voids.  When every coordinate lies in ``[0, n - 1]`` on its axis the
+    points are sampled where they are; otherwise (or for NaN or no points)
+    they are copied and clipped into the hull first.  ``u`` is never written.
     """
-    coords = np.array(np.reshape(u, (-1, 3)).T, dtype=float, order="C")  # (3, n) copy
+    coords = np.asarray(np.reshape(u, (-1, 3)).T, dtype=float)        # (3, n) view
+    if coords.size and all(0.0 <= row.min() and row.max() <= n - 1.0
+                           for row, n in zip(coords, vol.dims)):
+        return ndimage.map_coordinates(vol.data, coords, order=1, mode="nearest",
+                                       output=np.float64)
+    coords = np.array(coords, order="C")                                # (3, n) copy
     inside = vol._clip_to_hull(coords)
     vals = ndimage.map_coordinates(vol.data, coords, order=1, mode="nearest",
                                    output=np.float64)

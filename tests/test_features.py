@@ -325,6 +325,92 @@ def test_chunked_ray_scores_equal_one_call(monkeypatch, scoring_threads,
         assert len(calls) == {1: 1, 0: 1, -1: 2}[chunk_vs_batch]
 
 
+def _oracle_ray_scores(vol, apex, targets, mask):
+    """Scores and center samples of the rays composed point by point: one
+    (N, 1 + m, 3) batch of each center (plus exact zeros) and its ring, one
+    ``sample_voxel`` call, and the ring mean of a contiguous (N, m) copy."""
+    rays = targets - apex
+    rays_v = vol.vector_to_voxel(rays)
+    n = np.maximum(2, np.ceil(2.0 * np.linalg.norm(rays_v, axis=1)).astype(int) + 1)
+    u, v = orthonormal_basis(rays)
+    ang = 2.0 * np.pi * np.arange(mask.n_ring_samples) / mask.n_ring_samples
+    ring = mask.ring_radius * (np.cos(ang)[None, :, None] * u[:, None, :]
+                               + np.sin(ang)[None, :, None] * v[:, None, :])
+    offsets_v = np.concatenate([np.zeros((len(rays), 1, 3)), vol.vector_to_voxel(ring)], 1)
+    ray_of = np.repeat(np.arange(len(rays)), n)
+    first = np.cumsum(n) - n
+    t = (np.arange(len(ray_of)) - first[ray_of]) / (n - 1)[ray_of]
+    centers_v = vol.world_to_voxel(apex) + t[:, None] * rays_v[ray_of]
+    vals = sample_voxel(vol, centers_v[:, None, :] + offsets_v[ray_of])
+    vals = vals.reshape(-1, 1 + mask.n_ring_samples)
+    i_ring = np.ascontiguousarray(vals[:, 1:]).mean(axis=1)
+    return np.bincount(ray_of, vals[:, 0] - i_ring, minlength=len(rays)) / n, vals[:, 0]
+
+
+def _oracle_cases():
+    """(volume, apex, targets, ring radius) batches: rays that leave the
+    volume, rays that run along the hull's faces and within its tolerance
+    outside them, one ray batch wholly inside, a rotated grid, no rays."""
+    rng = np.random.default_rng(24)
+    dims = (24, 20, 16)
+    data = rng.uniform(0.0, 100.0, dims).astype(np.float32)
+    vol = Volume3D(dims=dims, spacing=(0.5, 0.5, 1.0), origin=(0.0, 0.0, 0.0),
+                   axis_directions=np.eye(3), data=data)
+    apex = np.array([6.0, 5.0, 8.0])
+    yield "leaving", vol, apex, apex + rng.normal(0.0, 8.0, (40, 3)), 1.6
+    hi = (np.asarray(dims) - 1.0) * vol.spacing          # exact in world and voxel units
+    for axis in range(3):
+        for face in (0.0, hi[axis], -2.5e-10 * vol.spacing[axis],
+                     hi[axis] + 2.5e-10 * vol.spacing[axis]):
+            a, b = rng.uniform(0.0, hi, (2, 3))
+            a[axis] = b[axis] = face
+            yield "face", vol, a, b[None, :], 1e-10        # rings within the tolerance
+    yield "inside", vol, apex, apex + rng.normal(0.0, 1.0, (30, 3)), 0.5
+    turn = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    turned = Volume3D(dims=dims, spacing=(0.5, 0.6, 1.0), origin=(3.0, -4.0, 2.0),
+                      axis_directions=turn, data=data)
+    center = turned.voxel_to_world((np.asarray(dims) - 1.0) / 2.0)
+    yield "rotated", turned, center, center + rng.normal(0.0, 6.0, (40, 3)), 1.6
+    yield "no_rays", vol, apex, np.empty((0, 3)), 1.6
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("n_ring_samples", [4, 7, 8, 9, 16, 129])
+def test_ray_scores_equal_point_by_point_oracle(monkeypatch, scoring_threads,
+                                                n_ring_samples, threads):
+    """Every lookup composed axis by axis and ring by ring, and the ring
+    mean summed in numpy's order, give the oracle's scores and center
+    samples bit for bit, on one thread or on three over small chunks."""
+    scoring_threads(threads)
+    if threads > 1:
+        monkeypatch.setattr(features, "_CHUNK_LOOKUPS", 97 * (1 + n_ring_samples))
+    for name, vol, apex, targets, radius in _oracle_cases():
+        mask = FeatureMask(ring_radius=radius, n_ring_samples=n_ring_samples)
+        scores, centers = features._ray_scores(vol, apex, targets, mask)
+        want_scores, want_centers = _oracle_ray_scores(vol, apex, targets, mask)
+        assert scores.tobytes() == want_scores.tobytes(), name
+        assert centers.tobytes() == want_centers.tobytes(), name
+        assert len(scores) == len(targets), name
+
+
+@pytest.mark.parametrize("m", [*range(4, 71), 127, 128, 129, 200, 257])
+def test_ring_mean_sums_in_numpys_order(m):
+    """The ring mean of m rows equals numpy's mean over each contiguous row
+    of the (N, m) transpose bit for bit: values across 16 decades, so any
+    other order rounds differently, and rows of +0.0, -0.0 and mixed zeros,
+    whose sign shows the sum's starting value."""
+    rng = np.random.default_rng(m)
+    block = rng.normal(size=(64, m)) * 10.0 ** rng.uniform(-8.0, 8.0, (64, m))
+    block[0] = 0.0
+    block[1] = -0.0
+    block[2] = np.where(rng.random(m) < 0.5, 0.0, -0.0)
+    block[3, 1:] = -0.0
+    block[3, 0] = 1e-300
+    want = np.ascontiguousarray(block).mean(axis=1)
+    got = features._ring_mean(np.ascontiguousarray(block.T))
+    assert got.tobytes() == want.tobytes()
+
+
 def _many_chunk_scores():
     """Scores of a ray batch several chunks long, as bytes."""
     dims = (40, 40, 40)
