@@ -168,12 +168,11 @@ def cmd_segment(args, argv) -> int:
     seeds.validate(vol)
     config = _load_config_arg(args)
 
-    # one task per tip, so that --jobs spreads the catheters over workers
-    tasks = [(vol, seeds.plane, [tip]) for tip in seeds.tips]
     wall = {}
     failures = 0
-    batch = segment_batch(tasks, config, (config.d_tol,), args.jobs)
-    for i, [([outcome], seconds)] in enumerate(batch):
+    [results] = segment_batch([(vol, seeds.plane, seeds.tips)], config,
+                              (config.d_tol,))
+    for i, ([outcome], seconds) in enumerate(results):
         wall[f"catheter_{i:02d}"] = seconds
         if isinstance(outcome, str):
             failures += 1
@@ -253,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--seeds", required=True)
     p_seg.add_argument("--config", help="config JSON path")
     p_seg.add_argument("--dtol", help="0 | inf | <mm>, overrides config")
-    p_seg.add_argument("--jobs", default=1,
-                       type=_checked(int, lambda n: n >= 1, "at least 1"))
     p_seg.add_argument("--out-dir", required=True)
 
     p_ev = sub.add_parser("evaluate", help="score trajectories against gold")

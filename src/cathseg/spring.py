@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .bezier import MAX_SAMPLES
+
 MAX_TOTAL_ANGLE = math.radians(80.0)  # force sweep cap, short of the pi/2 singularity
 _COS_EPS = 1e-6
 
@@ -55,8 +57,8 @@ class SpringModelParams:
     def __post_init__(self):
         if not 0 < self.k_a < math.inf:
             raise ValueError("k_a must be positive and finite")
-        if self.n_seg < 2:
-            raise ValueError("n_seg must be at least 2")
+        if not 2 <= self.n_seg <= MAX_SAMPLES:
+            raise ValueError(f"n_seg must be between 2 and {MAX_SAMPLES}")
         if not 0 < self.total_length < math.inf:
             raise ValueError("total_length must be positive and finite")
 

@@ -73,11 +73,11 @@ config_errors = pytest.mark.parametrize("doc", [
     {"bogus": 1}, {"n_c": "8"}, {"n_rays": 0}, {"r_cone": "inf"},
     {"r_cone": math.nan}, {"k_a": "inf"}, {"ring_radius": math.nan},
     {"total_length": "inf"}, {"k_a": 1e-20}, {"k_a": 1e308}, {"k_a": 10**400},
-    {"n_c": 1e20}, {"n_rays": 1e20}, {"n_ring_samples": 1e20}],
+    {"n_c": 1e20}, {"n_rays": 1e20}, {"n_ring_samples": 1e20}, {"n_seg": 1e8}],
     ids=["unknown_key", "string_bool", "n_rays_0", "r_cone_inf", "r_cone_nan",
          "k_a_inf", "ring_radius_nan", "total_length_inf", "k_a_unloadable",
          "k_a_too_stiff", "k_a_400_digits", "n_c_1e20", "n_rays_1e20",
-         "n_ring_samples_1e20"])
+         "n_ring_samples_1e20", "n_seg_1e8"])
 
 
 @config_errors
@@ -316,20 +316,9 @@ def test_segment_output_schema(tmp_path, phantom_dir):
     assert set(doc["estimates"]) == {"a", "alpha0_sum", "f0_est"}
 
 
-def test_segment_parallel_jobs_match_serial(tmp_path, phantom_dir):
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    assert _run_segment(phantom_dir, serial, ["--dtol", "1"]) == 0
-    assert _run_segment(phantom_dir, parallel, ["--dtol", "1", "--jobs", "2"]) == 0
-    for i in range(2):
-        a = (serial / f"trajectory_{i:02d}.json").read_text()
-        b = (parallel / f"trajectory_{i:02d}.json").read_text()
-        assert a == b
-
-
 def test_segment_parallel_manifest_times_are_measured(tmp_path, phantom_dir):
     out = tmp_path / "parallel_times"
-    assert _run_segment(phantom_dir, out, ["--dtol", "1", "--jobs", "2"]) == 0
+    assert _run_segment(phantom_dir, out, ["--dtol", "1"]) == 0
     wall = json.loads((out / "manifest.json").read_text())["wall_clock_s"]
     assert sorted(wall) == ["catheter_00", "catheter_01"]
     assert all(t > 0 for t in wall.values())
@@ -443,6 +432,19 @@ def test_segment_partial_failure_exit_code(tmp_path, phantom_dir, monkeypatch):
     assert rc == cli.EXIT_PARTIAL
     assert (out / "trajectory_00.json").exists()
     assert not (out / "trajectory_01.json").exists()
+
+
+def test_segment_no_tips_writes_no_trajectory(tmp_path, phantom_dir):
+    seeds = json.loads((phantom_dir / "seeds.json").read_text())
+    seeds["tips"] = []
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps(seeds))
+    out = tmp_path / "no_tips"
+    rc = cli.main(["segment", "--volume", str(phantom_dir / "volume.nrrd"),
+                   "--seeds", str(path), "--out-dir", str(out)])
+    assert rc == cli.EXIT_OK
+    assert not list(out.glob("trajectory_*.json"))
+    assert json.loads((out / "manifest.json").read_text())["wall_clock_s"] == {}
 
 
 def test_usage_error_exits_2():
@@ -800,10 +802,8 @@ def test_out_dir_is_a_file_exit_code(tmp_path, capsys, phantom_dir, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--out-dir", "o", "--n-curves", "-1"]] + [
-    ["segment", "--volume", "v", "--seeds", "s", "--out-dir", "o",
-     "--jobs", jobs] for jobs in ("0", "-3")],
-    ids=["n_curves_-1", "jobs_0", "jobs_-3"])
+    ["simulate", "--out-dir", "o", "--n-curves", "-1"]],
+    ids=["n_curves_-1"])
 def test_out_of_range_flags_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -835,6 +835,17 @@ def test_evaluate_resample_step_is_unrecognized(tmp_path, monkeypatch, capsys, s
                   "--resample-step", step])
     assert exc.value.code == cli.EXIT_USAGE
     assert "unrecognized arguments: --resample-step" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_segment_jobs_is_unrecognized(tmp_path, monkeypatch, capsys):
+    """segment runs every catheter in one process, with no flag for workers."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["segment", "--volume", "v", "--seeds", "s", "--out-dir", "o",
+                  "--jobs", "2"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -873,7 +884,7 @@ def test_config_int_fields_accept_integral_numbers_only():
     for bad in (8.7, "8", True, None, [8]):
         with pytest.raises(ValueError, match="n_c"):
             cli.config_from_dict({"n_c": bad})
-    for key in ("n_c", "n_rays", "n_ring_samples"):   # past bezier.MAX_SAMPLES
+    for key in ("n_c", "n_rays", "n_ring_samples", "n_seg"):   # past bezier.MAX_SAMPLES
         with pytest.raises(ValueError, match=key):
             cli.config_from_dict({key: 10**6 + 1})
 
