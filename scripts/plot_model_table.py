@@ -16,12 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from cathseg import cli
+from cathseg.bezier import MAX_SAMPLES
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-curves", default=12,
-                        type=cli._checked(int, lambda n: n >= 0, "non-negative"))
+                        type=cli._checked(int, lambda n: 0 <= n <= MAX_SAMPLES,
+                                          f"between 0 and {MAX_SAMPLES}"))
     parser.add_argument("--out-dir", default="model_out")
     args = parser.parse_args()
 

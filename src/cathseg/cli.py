@@ -24,6 +24,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
+from .bezier import MAX_SAMPLES
 from .engine import SegmentationConfig, load_trajectory, save_trajectory, \
     segment_batch
 from .evaluation import ExperimentReport, score_catheter, write_scores_csv, \
@@ -239,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="write the model table and curves")
     p_sim.add_argument("--config", help="config JSON path")
     p_sim.add_argument("--n-curves", default=8,
-                       type=_checked(int, lambda n: n >= 0, "non-negative"))
+                       type=_checked(int, lambda n: 0 <= n <= MAX_SAMPLES,
+                                     f"between 0 and {MAX_SAMPLES}"))
     p_sim.add_argument("--out-dir", required=True)
 
     p_ph = sub.add_parser("phantom", help="generate a synthetic volume")

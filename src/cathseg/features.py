@@ -165,7 +165,7 @@ def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
         np.add(centers[:, None], np.repeat(ring_v[:, :, lo:hi], n, axis=2), out=coords[:, 1:])
         vals = sample_voxel(vol, coords.reshape(3, -1).T).reshape(per_sample, -1)
         i_center = vals[0]
-        i_ring = _ring_mean(vals[1:])
+        i_ring = vals[1:].mean(axis=0)
         return np.bincount(ray_of, i_center - i_ring, minlength=hi - lo) / n, i_center
 
     # chunk k: the rays whose last lookup is in [k, k + 1) * _CHUNK_LOOKUPS
@@ -179,36 +179,6 @@ def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
     vol.background_intensity            # cached once, not by racing threads
     scores, centers = zip(*pool.map(score, bounds[:-1], bounds[1:]))
     return np.concatenate(scores), np.concatenate(centers)
-
-
-def _ring_mean(rows: np.ndarray) -> np.ndarray:
-    """Mean of the m rows (m, N) down each column, summed in the order numpy
-    sums a contiguous row of m, so its bits match ``.mean(axis=1)`` of the
-    (N, m) C-contiguous transpose: +0.0 plus the pairwise sum, over m."""
-    return (0.0 + _pairwise_sum(rows)) / len(rows)
-
-
-def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of a contiguous row of m, run on m rows at once:
-    under 8 a running sum from -0.0; up to 128 eight running sums, joined in
-    pairs, then the rest one at a time; above that, two halves cut at a
-    multiple of 8."""
-    m = len(rows)
-    if m < 8:
-        total = -0.0 + rows[0]
-        for row in rows[1:]:
-            total += row
-        return total
-    if m <= 128:
-        acc = rows[:8]
-        for i in range(8, m - m % 8, 8):
-            acc = acc + rows[i:i + 8]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for row in rows[m - m % 8:]:
-            total += row
-        return total
-    half = m // 2 - m // 2 % 8
-    return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
 
 
 def cone_search(vol: Volume3D, apex, base_center, base_radius: float,

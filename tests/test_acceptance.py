@@ -6,6 +6,7 @@ lines; plain ``pytest -v`` shows the same verdicts through the test names.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +150,24 @@ def test_criterion_8_benchmark_determinism(bench_run, config, model):
             f"two full runs: CSV reports byte-identical "
             f"({len(csv_a)} bytes each)" if csv_a == csv_b else
             "two full runs produced different CSV reports")
+
+
+def test_readme_seed_42_table_matches_benchmark(bench_run):
+    """README's seed-42 table shows this run: the HD counts exactly, the
+    median and mean as printed to two decimals.  The figures follow the
+    numpy and scipy versions the run uses."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0] in dict(EXPERIMENTS):
+            assert cells[0] not in rows, f"two README rows for {cells[0]}"
+            rows[cells[0]] = cells[1:]
+    report, _ = bench_run
+    for name, s in report.stats().items():
+        want = [f"{s['median_mm']:.2f}", f"{s['mean_mm']:.2f}",
+                str(s["count_hd_gt_2mm"]), str(s["count_hd_gt_3mm"])]
+        assert rows.get(name) == want, name
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["zero", "inf", "finite"]))

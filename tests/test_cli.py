@@ -802,8 +802,10 @@ def test_out_dir_is_a_file_exit_code(tmp_path, capsys, phantom_dir, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--out-dir", "o", "--n-curves", "-1"]],
-    ids=["n_curves_-1"])
+    ["simulate", "--out-dir", "o", "--n-curves", "-1"],
+    ["simulate", "--out-dir", "o", "--n-curves", "1000001"],
+    ["simulate", "--out-dir", "o", "--n-curves", "10000000000000"]],
+    ids=["n_curves_-1", "n_curves_1000001", "n_curves_10000000000000"])
 def test_out_of_range_flags_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -854,8 +856,9 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 @pytest.mark.parametrize("script,flags", [
     ("plot_model_table.py", ["--n-curves", "-1"]),
+    ("plot_model_table.py", ["--n-curves", "1000001"]),
     ("run_benchmark.py", ["--seed", "-1"])],
-    ids=["plot_n_curves_-1", "bench_seed_-1"])
+    ids=["plot_n_curves_-1", "plot_n_curves_1000001", "bench_seed_-1"])
 def test_script_out_of_range_flags_exit_2(tmp_path, monkeypatch, script, flags):
     monkeypatch.setattr(sys, "argv", [script, "--out-dir", str(tmp_path / "o")]
                         + flags)

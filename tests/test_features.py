@@ -328,7 +328,8 @@ def test_chunked_ray_scores_equal_one_call(monkeypatch, scoring_threads,
 def _oracle_ray_scores(vol, apex, targets, mask):
     """Scores and center samples of the rays composed point by point: one
     (N, 1 + m, 3) batch of each center (plus exact zeros) and its ring, one
-    ``sample_voxel`` call, and the ring mean of a contiguous (N, m) copy."""
+    ``sample_voxel`` call, and each sample's ring values summed in ring
+    order from +0.0, then divided by m."""
     rays = targets - apex
     rays_v = vol.vector_to_voxel(rays)
     n = np.maximum(2, np.ceil(2.0 * np.linalg.norm(rays_v, axis=1)).astype(int) + 1)
@@ -343,8 +344,17 @@ def _oracle_ray_scores(vol, apex, targets, mask):
     centers_v = vol.world_to_voxel(apex) + t[:, None] * rays_v[ray_of]
     vals = sample_voxel(vol, centers_v[:, None, :] + offsets_v[ray_of])
     vals = vals.reshape(-1, 1 + mask.n_ring_samples)
-    i_ring = np.ascontiguousarray(vals[:, 1:]).mean(axis=1)
+    i_ring = _ring_mean_in_ring_order(vals[:, 1:])
     return np.bincount(ray_of, vals[:, 0] - i_ring, minlength=len(rays)) / n, vals[:, 0]
+
+
+def _ring_mean_in_ring_order(ring):
+    """Mean of each row of the (N, m) ring values: +0.0 plus the m columns
+    added one at a time in ring order, then divided by m."""
+    total = np.zeros(len(ring))
+    for j in range(ring.shape[1]):
+        total += ring[:, j]
+    return total / ring.shape[1]
 
 
 def _oracle_cases():
@@ -379,8 +389,8 @@ def _oracle_cases():
 def test_ray_scores_equal_point_by_point_oracle(monkeypatch, scoring_threads,
                                                 n_ring_samples, threads):
     """Every lookup composed axis by axis and ring by ring, and the ring
-    mean summed in numpy's order, give the oracle's scores and center
-    samples bit for bit, on one thread or on three over small chunks."""
+    mean summed in ring order, give the oracle's scores and center samples
+    bit for bit, on one thread or on three over small chunks."""
     scoring_threads(threads)
     if threads > 1:
         monkeypatch.setattr(features, "_CHUNK_LOOKUPS", 97 * (1 + n_ring_samples))
@@ -395,10 +405,11 @@ def test_ray_scores_equal_point_by_point_oracle(monkeypatch, scoring_threads,
 
 @pytest.mark.parametrize("m", [*range(4, 71), 127, 128, 129, 200, 257])
 def test_ring_mean_sums_in_numpys_order(m):
-    """The ring mean of m rows equals numpy's mean over each contiguous row
-    of the (N, m) transpose bit for bit: values across 16 decades, so any
-    other order rounds differently, and rows of +0.0, -0.0 and mixed zeros,
-    whose sign shows the sum's starting value."""
+    """Ray scoring's ring mean, numpy's ``mean(axis=0)`` over the m
+    contiguous ring rows, equals the oracle's sum in ring order over m bit
+    for bit: values across 16 decades, so any other order rounds
+    differently, and rows of +0.0, -0.0 and mixed zeros, whose sign shows
+    the sum's starting value."""
     rng = np.random.default_rng(m)
     block = rng.normal(size=(64, m)) * 10.0 ** rng.uniform(-8.0, 8.0, (64, m))
     block[0] = 0.0
@@ -406,8 +417,8 @@ def test_ring_mean_sums_in_numpys_order(m):
     block[2] = np.where(rng.random(m) < 0.5, 0.0, -0.0)
     block[3, 1:] = -0.0
     block[3, 0] = 1e-300
-    want = np.ascontiguousarray(block).mean(axis=1)
-    got = features._ring_mean(np.ascontiguousarray(block.T))
+    got = np.ascontiguousarray(block.T).mean(axis=0)
+    want = _ring_mean_in_ring_order(block)
     assert got.tobytes() == want.tobytes()
 
 
