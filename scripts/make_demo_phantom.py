@@ -2,8 +2,10 @@
 """Write a small demo phantom spec + volume for trying out the CLI."""
 
 import argparse
+import math
 from pathlib import Path
 
+from cathseg import cli
 from cathseg.phantom import (BloomSpec, CatheterSpec, PhantomSpec,
                              force_for_deflection, save_phantom_spec)
 from cathseg.spring import SpringModelParams
@@ -12,7 +14,9 @@ from cathseg.spring import SpringModelParams
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="demo_spec.json")
-    parser.add_argument("--noise", type=float, default=4.0)
+    parser.add_argument("--noise", default=4.0,
+                        type=cli._checked(float, lambda x: 0 <= x < math.inf,
+                                          "a finite non-negative number"))
     args = parser.parse_args()
 
     model = SpringModelParams()

@@ -176,7 +176,6 @@ def _ray_scores(vol: Volume3D, apex: np.ndarray, targets: np.ndarray,
     pool = _worker_pool() if len(bounds) > 2 else None
     if pool is None:
         return score(0, len(rays))
-    vol.background_intensity            # cached once, not by racing threads
     scores, centers = zip(*pool.map(score, bounds[:-1], bounds[1:]))
     return np.concatenate(scores), np.concatenate(centers)
 
@@ -200,6 +199,8 @@ def cone_search(vol: Volume3D, apex, base_center, base_radius: float,
         raise ValueError("base_radius must be non-negative")
     if n_rays < 1:
         raise ValueError("n_rays must be positive")
+    if not (np.isfinite(apex).all() and np.isfinite(base).all()):
+        raise ValueError("apex and base_center must be finite")
     if np.allclose(apex, base, rtol=0):       # absolute: origin-independent
         raise ValueError("apex and base_center must differ")
     axis = base - apex

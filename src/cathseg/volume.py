@@ -15,7 +15,6 @@ import numbers
 import re
 import reprlib
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -104,11 +103,6 @@ class Volume3D:
         if self.data.shape != self.dims:
             raise ValueError(f"data shape {self.data.shape} != dims {self.dims}")
 
-    @cached_property
-    def background_intensity(self) -> float:
-        """Default out-of-bounds intensity: the brightest voxel."""
-        return float(self.data.max())
-
     def vector_to_voxel(self, w) -> np.ndarray:
         """World displacements (..., 3) in voxel units along the grid axes."""
         return (np.asarray(w, dtype=float) @ self.axis_directions) * (1.0 / self.spacing)
@@ -121,18 +115,10 @@ class Volume3D:
         return self.origin + (idx * self.spacing) @ self.axis_directions.T
 
     def contains(self, p) -> np.ndarray | bool:
-        """True where the world point lies inside the voxel-center hull."""
+        """True where the world point lies in the voxel-center hull, up to rounding."""
         u = self.world_to_voxel(p)
-        return self._clip_to_hull(u.reshape(-1, 3).T).reshape(u.shape[:-1])[()]
-
-    def _clip_to_hull(self, coords: np.ndarray) -> np.ndarray:
-        """Which voxel points (3, n) lie in the hull, up to round-trip rounding,
-        tested one axis row at a time; then clips each row into it in place."""
-        inside = np.ones(coords.shape[1], dtype=bool)
-        for row, n in zip(coords, self.dims):
-            inside &= (row >= -_HULL_EPS) & (row <= n - 1.0 + _HULL_EPS)
-            np.clip(row, 0.0, n - 1.0, out=row)
-        return inside
+        hi = np.asarray(self.dims) - 1.0
+        return np.all((u >= -_HULL_EPS) & (u <= hi + _HULL_EPS), axis=-1)[()]
 
 
 @dataclass
@@ -175,25 +161,11 @@ def distance_to_plane(plane: BasePlane, p) -> float | np.ndarray:
 
 
 def sample_voxel(vol: Volume3D, u: np.ndarray):
-    """Trilinear sampling at continuous voxel coordinates (..., 3), flattened.
-
-    Points outside the voxel-center hull return ``vol.background_intensity``
-    (the volume maximum), so rays leaving the volume never look like dark
-    voids.  When every coordinate lies in ``[0, n - 1]`` on its axis the
-    points are sampled where they are; otherwise (or for NaN or no points)
-    they are copied and clipped into the hull first.  ``u`` is never written.
-    """
-    coords = np.asarray(np.reshape(u, (-1, 3)).T, dtype=float)        # (3, n) view
-    if coords.size and all(0.0 <= row.min() and row.max() <= n - 1.0
-                           for row, n in zip(coords, vol.dims)):
-        return ndimage.map_coordinates(vol.data, coords, order=1, mode="nearest",
-                                       output=np.float64)
-    coords = np.array(coords, order="C")                                # (3, n) copy
-    inside = vol._clip_to_hull(coords)
-    vals = ndimage.map_coordinates(vol.data, coords, order=1, mode="nearest",
-                                   output=np.float64)
-    vals[~inside] = vol.background_intensity
-    return vals
+    """Trilinear samples at continuous voxel coordinates (..., 3), flattened:
+    a point outside the voxel-center hull reads the nearest edge voxel and a
+    NaN coordinate reads NaN.  ``u`` is never written."""
+    return ndimage.map_coordinates(vol.data, np.reshape(u, (-1, 3)).T, order=1,
+                                   mode="nearest", output=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -857,15 +857,21 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 @pytest.mark.parametrize("script,flags", [
     ("plot_model_table.py", ["--n-curves", "-1"]),
     ("plot_model_table.py", ["--n-curves", "1000001"]),
-    ("run_benchmark.py", ["--seed", "-1"])],
-    ids=["plot_n_curves_-1", "plot_n_curves_1000001", "bench_seed_-1"])
+    ("run_benchmark.py", ["--seed", "-1"]),
+    ("make_demo_phantom.py", ["--noise", "nan"]),
+    ("make_demo_phantom.py", ["--noise", "inf"]),
+    ("make_demo_phantom.py", ["--noise", "-1"])],
+    ids=["plot_n_curves_-1", "plot_n_curves_1000001", "bench_seed_-1",
+         "demo_noise_nan", "demo_noise_inf", "demo_noise_-1"])
 def test_script_out_of_range_flags_exit_2(tmp_path, monkeypatch, script, flags):
-    monkeypatch.setattr(sys, "argv", [script, "--out-dir", str(tmp_path / "o")]
-                        + flags)
+    # the demo script writes one spec file; an --out-dir would be unknown to it
+    out = (["--out", str(tmp_path / "spec.json")] if script == "make_demo_phantom.py"
+           else ["--out-dir", str(tmp_path / "o")])
+    monkeypatch.setattr(sys, "argv", [script] + out + flags)
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert exc.value.code == cli.EXIT_USAGE
-    assert not (tmp_path / "o").exists()
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_round_trip(tmp_path):

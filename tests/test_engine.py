@@ -10,6 +10,7 @@ from cathseg.engine import (TAG_COMPROMISE, SegmentationConfig, Trajectory,
                             estimate_model, gate_candidate, lateral_direction,
                             load_trajectory, propose_model_point, save_trajectory,
                             segment_batch, segment_catheter, walk)
+from cathseg.phantom import force_for_deflection
 from cathseg.spring import cut_at_depth, simulate_forward
 from cathseg.volume import Volume3D, distance_to_plane, sample_voxel
 
@@ -575,6 +576,35 @@ def test_batch_invariant_under_grid_axis_permutation(config, bent_phantom, perm)
         assert np.array_equal(a.bezier_control, b.bezier_control)
         assert a.estimates == b.estimates
         assert "chord_beyond_model" not in b.warnings
+
+
+def test_voxel_no_lookup_reads_moves_no_point(model, monkeypatch):
+    """A voxel outside the trilinear footprint of every lookup moves no point
+    in any gating mode, though this catheter's rays leave the volume: a
+    lookup outside the hull reads its nearest edge voxel, not a value that
+    any voxel of the volume can set, such as its maximum."""
+    vol, _, seeds = single_catheter_phantom(model, force_for_deflection(model, 74.0, 8.0),
+                                            noise=8.0, dims=(64, 64, 96), rng_seed=8)
+    far = replace(vol, data=vol.data.copy())
+    far.data[0, 0, 95] = 4.0 * vol.data.max()
+    hi = np.asarray(vol.dims) - 1.0
+    outside, reads_far = [], []           # appended from the scoring threads
+
+    def watched(v, u):
+        c = np.reshape(u, (-1, 3))
+        outside.append(bool(np.any((c < 0.0) | (c > hi))))
+        # a trilinear lookup reads the voxels within one voxel of its clamped point
+        near = np.all(np.abs(np.clip(c, 0.0, hi) - (0, 0, 95)) < 1.0, axis=1)
+        reads_far.append(bool(near.any()))
+        return sample_voxel(v, u)
+
+    monkeypatch.setattr(features, "sample_voxel", watched)
+    for d_tol in (math.inf, 1.0, 0.0):
+        cfg = SegmentationConfig(d_tol=d_tol, model=model)
+        want = segment_catheter(vol, seeds.tips[0], seeds.plane, cfg)
+        got = segment_catheter(far, seeds.tips[0], seeds.plane, cfg)
+        assert got.points.tobytes() == want.points.tobytes()
+    assert any(outside) and not any(reads_far)
 
 
 def test_trajectory_json_round_trip(tmp_path, config, bent_phantom):

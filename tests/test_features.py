@@ -465,7 +465,9 @@ def test_cone_spec_validation():
             ((1, 1, 1), (1, 1, 1), 0.0, 1, "apex and base_center must differ"),
             ((1, 1, 1), (1, 1, 2), -1.0, 100, "base_radius must be non-negative"),
             ((1, 1, 1), (1, 1, 2), float("nan"), 100, "base_radius"),
-            ((1, 1, 1), (1, 1, 2), 5.0, 0, "n_rays must be positive")]:
+            ((1, 1, 1), (1, 1, 2), 5.0, 0, "n_rays must be positive"),
+            ((float("nan"), 1, 1), (1, 1, 2), 5.0, 100, "must be finite"),
+            ((1, 1, 1), (1, float("inf"), 2), 5.0, 100, "must be finite")]:
         with pytest.raises(ValueError, match=match):
             cone_search(vol, apex, base, radius, n_rays, MASK)
     for ring_radius in (0.0, float("inf"), float("nan")):

@@ -189,11 +189,11 @@ def test_sample_reproduces_linear_ramp():
     assert np.max(np.abs(vals - pts[:, 0])) < 1e-6
 
 
-def test_sample_outside_returns_background():
+def test_sample_outside_reads_nearest_edge_voxel():
     data = np.full((4, 4, 4), 7.0, dtype=np.float32)
     data[1, 1, 1] = 42.0
     vol = make_volume(data)
-    assert sample_voxel(vol, vol.world_to_voxel((-5.0, 0.0, 0.0)))[0] == 42.0  # volume max
+    assert sample_voxel(vol, vol.world_to_voxel((-5.0, 0.0, 0.0)))[0] == 7.0  # not the max
 
 
 def test_sample_batch_shapes():
@@ -205,19 +205,17 @@ def test_sample_batch_shapes():
 
 def _reference_hull_and_samples(vol, u):
     """The hull mask reduced over the last axis, and ``map_coordinates`` on
-    the clipped points, the way ``sample_voxel`` was first written."""
+    the points clipped into the hull."""
     hi = np.asarray(vol.dims, dtype=float) - 1.0
     inside = np.all((u >= -1e-9) & (u <= hi + 1e-9), axis=-1).reshape(-1)
     coords = np.clip(u.reshape(-1, 3).T, 0.0, hi[:, None])
-    vals = ndimage.map_coordinates(vol.data, coords, order=1, mode="nearest",
-                                   output=np.float64)
-    vals[~inside] = vol.data.max()
-    return inside, vals
+    return inside, ndimage.map_coordinates(vol.data, coords, order=1, mode="nearest",
+                                           output=np.float64)
 
 
 def _hull_probe_points(dims, rng):
     """(n, 3) voxel points inside the hull, outside it, on its faces and
-    corners, and within +-1e-9 voxel of each face."""
+    corners, within +-1e-9 voxel of each face, at -0.0 and 1e-12 past a face."""
     hi = np.asarray(dims, dtype=float) - 1.0
     pts = [rng.uniform(0.0, hi, size=(64, 3)), rng.uniform(-2.0, hi + 2.0, size=(64, 3)),
            np.where(rng.random((16, 3)) < 0.5, 0.0, hi)]
@@ -228,81 +226,53 @@ def _hull_probe_points(dims, rng):
             near = rng.uniform(0.0, hi, size=(len(offsets), 3))
             near[:, axis] = face + outward * np.asarray(offsets)
             pts.append(near)
-    return np.vstack(pts)
+    edge = rng.uniform(0.0, hi, size=(2, 3))
+    edge[0] = -0.0                                  # a signed zero is in the hull
+    edge[1, 1] = hi[1] + 1e-12                      # within _HULL_EPS, off the grid
+    return np.vstack(pts + [edge])
 
 
 @pytest.mark.parametrize("layout", ["n", "a_b", "axis_major", "in_hull", "in_hull_axis_major"])
 def test_sample_voxel_matches_reference_bit_for_bit(layout):
     """Points as an (n, 3) array, an (a, b, 3) stack or the transposed view
-    of an axis-major (3, n) array, some outside the hull (the copy-and-clip
-    path) or all in ``[0, n - 1]`` (sampled where they lie)."""
+    of an axis-major (3, n) array, some outside the hull or all in
+    ``[0, n - 1]``: the same bits as clip-then-sample where clipping moves
+    no point, within 1e-12 where it does."""
     rng = np.random.default_rng(18)
     vol = make_volume(rng.uniform(0.0, 100.0, size=(7, 5, 4)))
-    u = _hull_probe_points(vol.dims, rng)                          # 198 points
+    hi = np.asarray(vol.dims, dtype=float) - 1.0
+    u = _hull_probe_points(vol.dims, rng)                          # 200 points
     if layout.startswith("in_hull"):
-        hi = np.asarray(vol.dims, dtype=float) - 1.0
         u = u[np.all((u >= 0.0) & (u <= hi), axis=1)]
     if layout == "a_b":
-        u = u.reshape(9, -1, 3)
+        u = u.reshape(8, -1, 3)
     if layout.endswith("axis_major"):
         u = np.ascontiguousarray(u.T).T
     before = u.copy()
     inside, expected = _reference_hull_and_samples(vol, u)
     assert inside.any() and inside.all() == layout.startswith("in_hull")
-    assert sample_voxel(vol, u).tobytes() == expected.tobytes()
-    assert np.array_equal(u, before)       # the caller's points are never written
+    on_grid = np.all((u >= 0.0) & (u <= hi), axis=-1).reshape(-1)
+    assert on_grid.all() == layout.startswith("in_hull")
+    got = sample_voxel(vol, u)
+    assert got[on_grid].tobytes() == expected[on_grid].tobytes()
+    assert np.allclose(got, expected, rtol=0, atol=1e-12)
+    assert u.tobytes() == before.tobytes()  # the caller's points are never written
     # on an identity grid world and voxel coordinates coincide exactly
     assert np.array_equal(vol.contains(u), inside.reshape(u.shape[:-1]))
     for p, expected_inside in zip(u.reshape(-1, 3), inside):
         assert vol.contains(p) is np.bool_(expected_inside)    # one point, one scalar
 
 
-@pytest.fixture
-def hull_clips(monkeypatch):
-    """How many times ``Volume3D._clip_to_hull`` ran, in a list of one."""
-    clips = [0]
-    real = Volume3D._clip_to_hull
-
-    def counting(self, coords):
-        clips[0] += 1
-        return real(self, coords)
-
-    monkeypatch.setattr(Volume3D, "_clip_to_hull", counting)
-    return clips
-
-
-@pytest.mark.parametrize("where", ["inside", "outside"])
-def test_sample_voxel_leaves_its_input_and_copies_only_to_clip(hull_clips, where):
-    """Points all in the hull are sampled where they lie, with no clip;
-    one point outside sends the batch through the copy-and-clip path.  On
-    both paths the caller's array keeps its bits and the values match the
-    reference sampler."""
-    rng = np.random.default_rng(24)
-    vol = make_volume(rng.uniform(0.0, 100.0, size=(7, 5, 4)))
-    hi = np.asarray(vol.dims, dtype=float) - 1.0
-    u = np.vstack([rng.uniform(0.0, hi, size=(50, 3)), np.where(rng.random((8, 3)) < 0.5,
-                                                               0.0, hi)])
-    u[0] = -0.0                                         # a signed zero is in the hull
-    if where == "outside":
-        u[3, 1] = hi[1] + 1e-12                         # within _HULL_EPS, still clipped
-    before = u.copy()
-    got = sample_voxel(vol, u)
-    assert hull_clips[0] == (where == "outside")
-    assert u.tobytes() == before.tobytes()
-    assert got.tobytes() == _reference_hull_and_samples(vol, before)[1].tobytes()
-
-
-def test_sample_voxel_empty_and_nan_points(hull_clips):
-    """No points give no values; a NaN coordinate takes the clip path and
-    reads the background, as a point outside the hull does."""
+def test_sample_voxel_empty_and_nan_points():
+    """No points give no values; a NaN coordinate reads NaN, and the other
+    points of its batch keep their values."""
     vol = make_volume(np.arange(60.0).reshape(5, 4, 3))
     assert sample_voxel(vol, np.empty((0, 3))).shape == (0,)
     u = np.array([[1.0, 1.0, 1.0], [np.nan, 1.0, 1.0], [2.0, 2.0, 2.0]])
     before = u.copy()
-    clips = hull_clips[0]
     vals = sample_voxel(vol, u)
-    assert hull_clips[0] == clips + 1
-    assert vals.tolist() == [vol.data[1, 1, 1], 59.0, vol.data[2, 2, 2]]
+    assert vals[[0, 2]].tolist() == [vol.data[1, 1, 1], vol.data[2, 2, 2]]
+    assert np.isnan(vals[1])
     assert np.array_equal(u, before, equal_nan=True)
 
 
