@@ -18,6 +18,8 @@ def main():
                         type=cli._checked(float, lambda x: 0 <= x < math.inf,
                                           "a finite non-negative number"))
     args = parser.parse_args()
+    if Path(args.out).is_dir() or not Path(args.out).parent.is_dir():
+        parser.error(f"argument --out: {args.out} names no file in an existing directory")
 
     model = SpringModelParams()
     catheters = []

@@ -27,7 +27,10 @@ def main():
     args = parser.parse_args()
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:               # a file, or a path through one
+        parser.error(f"argument --out-dir: cannot make directory {out}: {exc.strerror}")
 
     t0 = time.perf_counter()
     bundle = standard_benchmark(args.seed)

@@ -17,9 +17,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -29,9 +28,10 @@ from .engine import SegmentationConfig, load_trajectory, save_trajectory, \
     segment_batch
 from .evaluation import ExperimentReport, score_catheter, write_scores_csv, \
     write_summary_json, write_overlay_json
+from .features import FeatureMask
 from .phantom import generate_phantom, load_phantom_spec
-from .spring import build_model_table, export_table_csv, find_max_force, \
-    simulate_forward
+from .spring import SpringModelParams, build_model_table, export_table_csv, \
+    find_max_force, simulate_forward
 from .volume import load_seeds, load_volume, read_numbers, save_seeds, save_volume
 
 EXIT_OK = 0
@@ -62,36 +62,24 @@ def config_to_dict(config) -> dict:
 def config_from_dict(doc: dict) -> SegmentationConfig:
     """Inverse of ``config_to_dict``; missing fields keep their defaults.
 
-    Values are read by ``read_numbers``: int fields take integers (8.0
-    included, 8.7 not) and float fields finite numbers, and d_tol also
-    "inf".  Any other value raises ValueError.
+    Each dataclass reads its own fields by ``read_numbers``, and d_tol also
+    takes "inf"; a value that is no number raises ValueError naming its field.
     """
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    default = SegmentationConfig()
-    unknown = set(doc) - set(config_to_dict(default))
+    unknown = set(doc) - set(config_to_dict(SegmentationConfig()))
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return _override(default, doc)
+    if doc.get("d_tol") == "inf":
+        doc = {**doc, "d_tol": math.inf}
+    elif "d_tol" in doc:                 # Infinity or 1e400 is no "inf"
+        read_numbers(doc["d_tol"], "d_tol")
 
-
-def _override(config, doc: dict):
-    changes = {}
-    hints = get_type_hints(type(config))
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if is_dataclass(value):
-            changes[f.name] = _override(value, doc)
-        elif f.name in doc:
-            changes[f.name] = _coerce(f.name, hints[f.name], doc[f.name])
-    return replace(config, **changes)
-
-
-def _coerce(name: str, kind, new):
-    """``new`` as a value of the annotated field type ``kind``."""
-    if name == "d_tol" and new == "inf":
-        return math.inf
-    return read_numbers(new, f"config field {name}", kind=kind)
+    def part(cls):
+        return {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
+    return SegmentationConfig(**part(SegmentationConfig),
+                              mask=FeatureMask(**part(FeatureMask)),
+                              model=SpringModelParams(**part(SpringModelParams)))
 
 
 def _write_manifest(out_dir: Path, command: str, argv, config: dict | None,

@@ -26,7 +26,7 @@ from .bezier import MAX_SAMPLES, fit_bezier, resample_polyline
 from .features import FeatureMask, cone_search, orthonormal_basis, share_cores
 from .spring import ModelTable, SpringModelParams, build_model_table, \
     cut_at_depth, solve_at_depth
-from .volume import BasePlane, Volume3D, distance_to_plane, read_numbers
+from .volume import BasePlane, Volume3D, distance_to_plane, read_fields, read_numbers
 
 _PARALLEL_EPS = 1e-6
 # fraction of the local contrast by which the init cone must beat a flat score
@@ -51,6 +51,9 @@ class SegmentationConfig:
     model: SpringModelParams = field(default_factory=SpringModelParams)
 
     def __post_init__(self):
+        read_fields(self, ("n_c", "n_rays"), kind=int)
+        # d_tol is a finite number, or inf for image-only search
+        read_fields(self, ("r_cone",) if self.d_tol == math.inf else ("r_cone", "d_tol"))
         if not 3 <= self.n_c <= MAX_SAMPLES:
             raise ValueError(f"n_c must be between 3 and {MAX_SAMPLES}")
         if not self.d_tol >= 0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bezier import MAX_SAMPLES
-from .volume import Volume3D, sample_voxel
+from .volume import Volume3D, read_fields, sample_voxel
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # lookups per chunk of a ray batch: several chunks per thread, so that a
@@ -40,6 +40,8 @@ class FeatureMask:
     n_ring_samples: int = 8
 
     def __post_init__(self):
+        read_fields(self, ("ring_radius",))
+        read_fields(self, ("n_ring_samples",), kind=int)
         if not 0 < self.ring_radius < math.inf:
             raise ValueError("ring_radius must be positive and finite")
         if not 4 <= self.n_ring_samples <= MAX_SAMPLES:

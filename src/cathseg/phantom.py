@@ -25,7 +25,7 @@ from .bezier import resample_polyline
 from .engine import Trajectory
 from .features import _worker_pool
 from .spring import SpringModelParams, cut_at_depth, solve_at_depth
-from .volume import BasePlane, SeedSet, Volume3D, read_numbers
+from .volume import BasePlane, SeedSet, Volume3D, read_fields
 
 _CENTERLINE_STEP = 0.25  # mm, dense resampling used for distance queries
 _NOISE_SLAB = 16         # first-axis planes of noise drawn per call
@@ -58,9 +58,9 @@ class CatheterSpec:
                                                   # where the void fades out
 
     def __post_init__(self):
-        _read_fields(self, ("f0", "insertion_depth", "deflection_azimuth", "core_intensity"))
-        _read_fields(self, ("entry_point",), (2,))
-        _read_fields(self, ("dropouts",), (None, 2))
+        read_fields(self, ("f0", "insertion_depth", "deflection_azimuth", "core_intensity"))
+        read_fields(self, ("entry_point",), (2,))
+        read_fields(self, ("dropouts",), (None, 2))
         if any(length < 0 for _, length in self.dropouts):
             raise ValueError(f"a dropout's arc_len must be non-negative, "
                              f"got {self.dropouts}")
@@ -75,7 +75,7 @@ class BloomSpec:
     def __post_init__(self):
         if not isinstance(self.enabled, bool):      # a string would be truthy
             raise ValueError(f"bloom enabled must be true or false, got {self.enabled!r}")
-        _read_fields(self, ("rim_radius", "rim_gain"))
+        read_fields(self, ("rim_radius", "rim_gain"))
         if not (self.rim_radius > 0 and self.rim_gain >= 0):
             raise ValueError(f"bloom needs a positive rim_radius and a non-negative "
                              f"rim_gain, got {self.rim_radius}, {self.rim_gain}")
@@ -89,8 +89,8 @@ class DistractorSpec:
     radius: float = 0.8
 
     def __post_init__(self):
-        _read_fields(self, ("p0", "p1"), (3,))
-        _read_fields(self, ("radius",))
+        read_fields(self, ("p0", "p1"), (3,))
+        read_fields(self, ("radius",))
         if not self.radius > 0:
             raise ValueError(f"distractor radius must be positive, got {self.radius}")
 
@@ -110,12 +110,12 @@ class PhantomSpec:
 
     def __post_init__(self):
         # positivity of dims and spacing is Volume3D's check
-        _read_fields(self, ("dims",), (3,), int)
-        _read_fields(self, ("spacing",), (3,))
-        _read_fields(self, ("background_intensity", "tube_radius", "noise_sigma",
-                            "plane_offset"))
+        read_fields(self, ("dims",), (3,), int)
+        read_fields(self, ("spacing",), (3,))
+        read_fields(self, ("background_intensity", "tube_radius", "noise_sigma",
+                           "plane_offset"))
         # checked with or without noise, since the manifest records it
-        _read_fields(self, ("rng_seed",), kind=int)
+        read_fields(self, ("rng_seed",), kind=int)
         # a void is a fraction of the background
         if not (self.tube_radius > 0 and self.background_intensity > 0):
             raise ValueError(f"tube_radius and background_intensity must be positive, "
@@ -123,12 +123,6 @@ class PhantomSpec:
         if not (self.noise_sigma >= 0 and self.rng_seed >= 0):
             raise ValueError(f"noise_sigma and rng_seed must be non-negative, "
                              f"got {self.noise_sigma}, {self.rng_seed}")
-
-
-def _read_fields(spec, names, shape: tuple = (), kind=float):
-    """Replace each named field of ``spec`` by its ``read_numbers`` value."""
-    for name in names:
-        setattr(spec, name, read_numbers(getattr(spec, name), name, shape, kind))
 
 
 def save_phantom_spec(spec: PhantomSpec, path):

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bezier import MAX_SAMPLES
+from .volume import read_fields
 
 MAX_TOTAL_ANGLE = math.radians(80.0)  # force sweep cap, short of the pi/2 singularity
 _COS_EPS = 1e-6
@@ -55,6 +56,8 @@ class SpringModelParams:
     total_length: float = 187.0  # mm
 
     def __post_init__(self):
+        read_fields(self, ("k_a", "total_length"))
+        read_fields(self, ("n_seg",), kind=int)
         if not 0 < self.k_a < math.inf:
             raise ValueError("k_a must be positive and finite")
         if not 2 <= self.n_seg <= MAX_SAMPLES:

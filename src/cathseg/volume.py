@@ -1,5 +1,5 @@
 """3D scalar volumes with world geometry, plus the base-plane / seed inputs
-and ``read_numbers``, the one reader of numbers in every JSON input file.
+and ``read_numbers``, the one reader of numbers in every input file and config.
 
 Volumes are stored on a regular grid with anisotropic spacing and an
 orthonormal axis-direction matrix.  All world coordinates and lengths are
@@ -61,6 +61,13 @@ def read_numbers(value, name: str, shape: tuple = (), kind=float):
     return read(value, shape)
 
 
+def read_fields(obj, names, shape: tuple = (), kind=float):
+    """Replace each named field of the dataclass ``obj``, frozen or not, by
+    its ``read_numbers`` value."""
+    for name in names:
+        object.__setattr__(obj, name, read_numbers(getattr(obj, name), name, shape, kind))
+
+
 class VolumeFormatError(ValueError):
     """Header declares something outside the supported NRRD-raw subset."""
 
@@ -88,10 +95,11 @@ class Volume3D:
     data: np.ndarray             # (nx, ny, nz) float32
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.spacing = np.asarray(self.spacing, dtype=float)
-        self.origin = np.asarray(self.origin, dtype=float)
-        self.axis_directions = np.asarray(self.axis_directions, dtype=float)
+        self.dims = read_numbers(self.dims, "dims", (3,), int)
+        self.spacing = np.array(read_numbers(self.spacing, "spacing", (3,)))
+        self.origin = np.array(read_numbers(self.origin, "origin", (3,)))
+        self.axis_directions = np.array(read_numbers(self.axis_directions,
+                                                     "axis_directions", (3, 3)))
         if any(d <= 0 for d in self.dims):
             raise ValueError(f"dims must be positive, got {self.dims}")
         if np.any(self.spacing <= 0):

@@ -874,6 +874,24 @@ def test_script_out_of_range_flags_exit_2(tmp_path, monkeypatch, script, flags):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("script,flag,path", [
+    ("run_benchmark.py", "--out-dir", "taken"),
+    ("make_demo_phantom.py", "--out", "missing/spec.json"),
+    ("make_demo_phantom.py", "--out", ".")],
+    ids=["bench_out_dir_is_a_file", "demo_out_in_missing_dir", "demo_out_is_a_dir"])
+def test_script_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, script,
+                                         flag, path):
+    """An output path that cannot be written is a usage error, found before
+    any work is done or any file is written."""
+    (tmp_path / "taken").write_text("")
+    monkeypatch.setattr(sys, "argv", [script, flag, str(tmp_path / path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert exc.value.code == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err.strip().splitlines()[-1]
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_config_round_trip(tmp_path):
     cfg = cli.config_from_dict({"d_tol": "inf", "n_rays": 128})
     assert math.isinf(cfg.d_tol)

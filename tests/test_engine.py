@@ -629,3 +629,21 @@ def test_config_validation(model):
         with pytest.raises(ValueError):
             SegmentationConfig(model=model, **bad)
     assert SegmentationConfig(d_tol=math.inf, model=model).d_tol == math.inf
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (SegmentationConfig, "n_c", 8.5), (SegmentationConfig, "n_rays", 600.5),
+    (features.FeatureMask, "n_ring_samples", 8.5),
+    (spring.SpringModelParams, "n_seg", 20.5), (spring.SpringModelParams, "k_a", True),
+    (features.FeatureMask, "ring_radius", True), (SegmentationConfig, "r_cone", "20"),
+    (SegmentationConfig, "d_tol", math.nan), (SegmentationConfig, "d_tol", -math.inf),
+    (SegmentationConfig, "d_tol", "inf")],
+    ids=["n_c_8.5", "n_rays_600.5", "n_ring_samples_8.5", "n_seg_20.5", "k_a_bool",
+         "ring_radius_bool", "r_cone_string", "d_tol_nan", "d_tol_-inf",
+         "d_tol_string_inf"])
+def test_config_dataclasses_read_their_own_numbers(cls, field, value):
+    """A config built in Python meets the number rule of a config file."""
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})
+    cfg = SegmentationConfig(n_c=8.0, d_tol=math.inf)
+    assert type(cfg.n_c) is int and cfg.n_c == 8 and cfg.d_tol == math.inf

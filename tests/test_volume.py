@@ -125,6 +125,19 @@ def test_data_shape_must_match_dims():
                  axis_directions=np.eye(3), data=np.zeros(8))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("spacing", [math.nan, 1.0, 1.0]), ("origin", [math.inf, 0.0, 0.0]),
+    ("dims", (2.5, 2, 2)), ("axis_directions", np.eye(3)[:2])],
+    ids=["spacing_nan", "origin_inf", "dims_fraction", "axis_directions_2x3"])
+def test_volume_geometry_must_be_finite_numbers(field, value):
+    """A NaN spacing made every point lie outside; it is refused, naming the field."""
+    geometry = dict(dims=(2, 2, 2), spacing=(1, 1, 1), origin=(0, 0, 0),
+                    axis_directions=np.eye(3))
+    geometry[field] = value
+    with pytest.raises(ValueError, match=field):
+        Volume3D(**geometry, data=np.zeros((2, 2, 2)))
+
+
 def test_save_load_bit_exact_payload(tmp_path):
     rng = np.random.default_rng(3)
     data = rng.normal(100, 25, size=(7, 5, 9)).astype(np.float32)
